@@ -11,8 +11,9 @@ discard budget R the tail becomes
 
     C(R + zeta_bar - 1, R) * Phi(R + zeta_bar - 1; K, eps) <= theta.
 
-``plan_multistage`` splits a total confidence budget across stages and applies
-one of these bounds per stage.
+``stage_sample_size`` picks the bound for one stage from a method name and a
+discard budget; ``plan_multistage`` splits a total confidence budget across
+stages and calls it once per stage.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "implicit_sample_size_with_discarding",
     "explicit_sample_size_with_discarding",
     "max_discardable",
+    "stage_sample_size",
     "plan_multistage",
 ]
 
@@ -246,6 +248,36 @@ def max_discardable(zeta_bar: int, trials: int, eps: float, theta: float) -> int
     return max(0, min(r, trials - zeta_bar))
 
 
+def stage_sample_size(
+    zeta_bar: int, eps: float, theta: float, discard: int, method: str
+) -> tuple[int, str]:
+    """Sample size for one stage, and the bound that produced it.
+
+    ``method`` selects the bound family ("implicit", "chernoff" or "refined");
+    a positive discard budget switches to the matching discard bound
+    ("implicit-discard" for implicit, "explicit-discard" otherwise).  The size
+    is raised where needed to zeta_bar + discard + 1, so that the plan
+    invariants K >= zeta_bar + 1 and R < K - zeta_bar hold.
+    """
+    if method not in ("implicit", "chernoff", "refined"):
+        raise ValueError(f"method must be implicit, chernoff or refined, got {method!r}")
+    if discard == 0:
+        bound = {
+            "implicit": implicit_sample_size,
+            "chernoff": chernoff_sample_size,
+            "refined": refined_sample_size,
+        }[method]
+        size = bound(zeta_bar, eps, theta)
+        used = method
+    elif method == "implicit":
+        size = implicit_sample_size_with_discarding(zeta_bar, eps, theta, discard)
+        used = "implicit-discard"
+    else:
+        size = explicit_sample_size_with_discarding(zeta_bar, eps, theta, discard)
+        used = "explicit-discard"
+    return max(size, zeta_bar + discard + 1), used
+
+
 def plan_multistage(
     program,
     theta_total: float,
@@ -255,14 +287,9 @@ def plan_multistage(
 ) -> SampleSizePlan:
     """Build a per-stage sampling plan for a scenario program.
 
-    ``method`` selects the bound family ("implicit", "chernoff" or "refined");
-    stages with a positive discard budget switch to the matching discard
-    bound ("implicit-discard" for implicit, "explicit-discard" otherwise).
-    Sizes are raised where needed so that every plan invariant
-    (K >= zeta_bar + 1 and R < K - zeta_bar) holds.
+    Each stage gets its share of ``theta_total`` and its discard budget, and
+    ``stage_sample_size`` picks its bound from ``method``.
     """
-    if method not in ("implicit", "chernoff", "refined"):
-        raise ValueError(f"method must be implicit, chernoff or refined, got {method!r}")
     n_stages = len(program.stages)
     if n_stages == 0:
         raise ValueError("program has no stages to plan for")
@@ -279,24 +306,7 @@ def plan_multistage(
             raise ValueError(f"stage {i} carries no support-rank bound")
         eps = stage.eps
         r = int(discards[i])
-        if r == 0:
-            if method == "implicit":
-                size = implicit_sample_size(zeta_bar, eps, thetas[i])
-                used = "implicit"
-            elif method == "chernoff":
-                size = chernoff_sample_size(zeta_bar, eps, thetas[i])
-                used = "chernoff"
-            else:
-                size = refined_sample_size(zeta_bar, eps, thetas[i])
-                used = "refined"
-        else:
-            if method == "implicit":
-                size = implicit_sample_size_with_discarding(zeta_bar, eps, thetas[i], r)
-                used = "implicit-discard"
-            else:
-                size = explicit_sample_size_with_discarding(zeta_bar, eps, thetas[i], r)
-                used = "explicit-discard"
-        size = max(size, zeta_bar + 1, zeta_bar + r + 1)
+        size, used = stage_sample_size(zeta_bar, eps, thetas[i], r, method)
         entries.append(
             StagePlan(
                 stage=i, size=size, discard=r, eps=eps,

@@ -17,16 +17,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    chernoff_sample_size,
-    discard_posterior_confidence,
-    explicit_sample_size_with_discarding,
-    implicit_sample_size,
-    implicit_sample_size_with_discarding,
-    plan_multistage,
-    refined_sample_size,
-)
-from .cuboid_bench import TABLE_EPS, TABLE_N, run_table1, run_table2
+from .bounds import discard_posterior_confidence, plan_multistage, stage_sample_size
+from .cuboid_bench import TABLE_EPS, TABLE_N, run_table1, run_table2_cells
 from .discard import remove_greedy, remove_marginal, remove_optimal
 from .program import program_from_json, solution_to_json
 from .scenario_core import draw_multisample, solve, support_set
@@ -108,19 +100,8 @@ def main() -> None:
 def cmd_samplesize(zeta: int, eps: float, theta: float, discard: int, method: str) -> None:
     """Print the planned sample size and the tail bound it achieves."""
     try:
-        if discard == 0:
-            if method == "implicit":
-                size = implicit_sample_size(zeta, eps, theta)
-            elif method == "chernoff":
-                size = chernoff_sample_size(zeta, eps, theta)
-            else:
-                size = refined_sample_size(zeta, eps, theta)
-        else:
-            if method == "implicit":
-                size = implicit_sample_size_with_discarding(zeta, eps, theta, discard)
-            else:
-                size = explicit_sample_size_with_discarding(zeta, eps, theta, discard)
-        achieved = discard_posterior_confidence(zeta, max(size, discard + zeta), discard, eps)
+        size, _ = stage_sample_size(zeta, eps, theta, discard, method)
+        achieved = discard_posterior_confidence(zeta, size, discard, eps)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     click.echo(str(size))
@@ -370,26 +351,23 @@ def cmd_table1(theta: float, out_dir: str) -> None:
     _write_manifest(out_dir, manifest)
 
 
-def _parse_cells(text: str) -> tuple[tuple[float, ...], tuple[int, ...]]:
+def _parse_cells(text: str) -> list[tuple[float, int]]:
+    """The named (eps, n) cells in the order given, each once."""
     if text == "all":
-        return TABLE_EPS, TABLE_N
-    eps_set: list[float] = []
-    n_set: list[int] = []
+        return [(eps, n) for eps in TABLE_EPS for n in TABLE_N]
+    cells: list[tuple[float, int]] = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         try:
             eps_text, n_text = piece.split(":")
-            eps = float(eps_text) / 100.0
-            n = int(n_text)
+            cell = (float(eps_text) / 100.0, int(n_text))
         except ValueError:
             raise click.UsageError(f"cell spec must look like '1:2,10:50', got {text!r}")
-        if eps not in eps_set:
-            eps_set.append(eps)
-        if n not in n_set:
-            n_set.append(n)
-    return tuple(eps_set), tuple(n_set)
+        if cell not in cells:
+            cells.append(cell)
+    return cells
 
 
 @cmd_cuboid.command("table2")
@@ -404,16 +382,15 @@ def cmd_table2(
 ) -> None:
     """Monte-Carlo the single-over-multi objective surplus grid as CSV."""
     started = time.monotonic()
-    eps_list, n_list = _parse_cells(cells)
-    table = run_table2(
-        n_list=n_list, eps_list=eps_list, replications=reps, seed=seed,
-        theta_total=theta, threads=threads or _default_threads(),
+    named = _parse_cells(cells)
+    table = run_table2_cells(
+        named, replications=reps, seed=seed, theta_total=theta,
+        threads=threads or _default_threads(),
     )
     lines = ["eps_percent,n,mean_surplus,stderr,replications"]
-    for eps in eps_list:
-        for n in n_list:
-            mean, stderr = table[(eps, n)]
-            lines.append(f"{eps * 100:g},{n},{mean:.6f},{stderr:.6f},{reps}")
+    for eps, n in named:
+        mean, stderr = table[(eps, n)]
+        lines.append(f"{eps * 100:g},{n},{mean:.6f},{stderr:.6f},{reps}")
     out_dir = os.path.dirname(out_path) or "."
     os.makedirs(out_dir, exist_ok=True)
     with open(out_path, "w") as handle:

@@ -13,7 +13,8 @@ used as a cross-check oracle in tests.
 
 ``run_table1`` tabulates planned sample sizes on the benchmark grid;
 ``run_table2`` Monte-Carlos the relative objective surplus of the single-stage
-treatment over the multi-stage one on that grid.
+treatment over the multi-stage one on that grid, and ``run_table2_cells`` on
+a list of named cells.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "cuboid_support_sets",
     "run_table1",
     "run_table2",
+    "run_table2_cells",
 ]
 
 TABLE_EPS = (0.01, 0.05, 0.10, 0.25)
@@ -366,24 +368,39 @@ def run_table2(
     theta_total: float = 1e-6,
     threads: int = 1,
 ) -> dict[tuple[float, int], tuple[float, float]]:
+    """Relative objective surplus of the single-stage treatment over the grid
+    ``eps_list`` x ``n_list`` (the full benchmark grid by default).
+
+    The cells are computed by ``run_table2_cells`` in eps-major order.
+    """
+    n_list = TABLE_N if n_list is None else tuple(n_list)
+    eps_list = TABLE_EPS if eps_list is None else tuple(eps_list)
+    cells = [(eps, n) for eps in eps_list for n in n_list]
+    return run_table2_cells(cells, replications, seed, theta_total, threads)
+
+
+def run_table2_cells(
+    cells: list[tuple[float, int]],
+    replications: int = 10_000,
+    seed: int = 0,
+    theta_total: float = 1e-6,
+    threads: int = 1,
+) -> dict[tuple[float, int], tuple[float, float]]:
     """Relative objective surplus of the single-stage treatment, cell by cell.
 
-    Each cell draws ``replications`` independent runs of both modes at the
-    sizes from ``run_table1`` and averages the per-replication relative
-    surplus; the returned dict maps (eps, n) to (mean, standard error).
+    ``cells`` is a sequence of (eps, n) pairs.  Each cell draws
+    ``replications`` independent runs of both modes at the sizes from
+    ``run_table1`` and averages the per-replication relative surplus; the
+    returned dict maps (eps, n) to (mean, standard error).  A cell's streams
+    are keyed by its position in ``cells``.
     """
     if replications < 1:
         raise ValueError("replications must be positive")
-    n_list = TABLE_N if n_list is None else tuple(n_list)
-    eps_list = TABLE_EPS if eps_list is None else tuple(eps_list)
     result: dict[tuple[float, int], tuple[float, float]] = {}
-    cell_id = 0
-    for eps in eps_list:
-        for n in n_list:
-            k_multi = implicit_sample_size(2, eps, theta_total / n)
-            k_single = implicit_sample_size(2 * n + 1, eps, theta_total)
-            result[(eps, n)] = _cell_surplus(
-                n, k_multi, k_single, replications, seed, cell_id, threads=threads
-            )
-            cell_id += 1
+    for cell_id, (eps, n) in enumerate(cells):
+        k_multi = implicit_sample_size(2, eps, theta_total / n)
+        k_single = implicit_sample_size(2 * n + 1, eps, theta_total)
+        result[(eps, n)] = _cell_surplus(
+            n, k_multi, k_single, replications, seed, cell_id, threads=threads
+        )
     return result

@@ -202,10 +202,13 @@ def solve_lp_lexicographic(
     """Unique optimizer under the lexicographic tie-break.
 
     After minimizing cost'x, coordinates x_1, x_2, ... are minimized in turn
-    over the (tolerance-thickened) optimal face.  Coordinates that are already
-    linearly determined by the pinned directions are skipped, so generic
-    problems cost a single extra solve at most.  Duals are taken from the
-    initial solve; any optimal dual pairs with any optimal primal point.
+    over the (tolerance-thickened) optimal face, one ``solve_lp`` call per
+    coordinate pass.  A coordinate is skipped only when it lies in the span of
+    the directions already pinned (the cost and the earlier coordinates).
+    That holds for exactly one coordinate, the last one on which the cost is
+    nonzero, so a nonzero cost takes up to d - 1 passes after the first solve
+    and a zero cost up to d.  Duals are taken from the initial solve; any
+    optimal dual pairs with any optimal primal point.
     """
     cost = np.asarray(cost, dtype=float)
     rows_a = np.asarray(rows_a, dtype=float)

@@ -1,13 +1,14 @@
-"""Numerically stable probability primitives: binomial tails and incomplete beta.
+"""Probability primitives: binomial tails and the regularized incomplete beta.
 
 Everything downstream (sample-size planning, discard budgets, confidence
 intervals) reduces to evaluating the binomial distribution function
 
     Phi(x; K, eps) = sum_{j=0}^{x} C(K, j) eps^j (1 - eps)^(K-j)
 
-and the regularized incomplete beta function.  Both are computed here without
-forming any individual probability term outside log space, so that tails of
-order 1e-9 at K ~ 1e5 come out with full double precision.
+and the regularized incomplete beta function.  Both are delegated to
+``scipy.special`` (``bdtr`` and ``betainc``); this module adds the domain
+checks, the exact endpoint values, log-space binomial coefficients, and an
+exact-rational tail predicate that the tests use as the referee.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from scipy.special import gammaln
+from scipy.special import bdtr, betainc, gammaln
 
 __all__ = [
     "log_binomial_coefficient",
@@ -24,11 +25,6 @@ __all__ = [
     "regularized_incomplete_beta",
     "log_beta",
 ]
-
-# Lentz continued-fraction controls for the incomplete beta.
-_CF_MAX_ITER = 500
-_CF_EPS = 1e-16
-_CF_TINY = 1e-300
 
 
 def log_binomial_coefficient(n: int, k: int) -> float:
@@ -54,44 +50,16 @@ def log_binomial_coefficient(n: int, k: int) -> float:
     return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
-def _pmf_term(j: int, trials: int, eps: float) -> float:
-    """One binomial probability mass, as accurately as doubles allow.
-
-    For moderate trial counts the binomial coefficient is formed exactly and
-    combined with sub-ulp ``pow`` factors; otherwise the term is assembled in
-    log space through log-gamma, whose large-argument cancellation limits the
-    relative accuracy to ~1e-12.
-    """
-    if trials <= 1020:
-        return (
-            float(math.comb(trials, j))
-            * math.pow(eps, j)
-            * math.pow(1.0 - eps, trials - j)
-        )
-    log_term = (
-        float(gammaln(trials + 1) - gammaln(j + 1) - gammaln(trials - j + 1))
-        + j * math.log(eps)
-        + (trials - j) * math.log1p(-eps)
-    )
-    return math.exp(log_term) if log_term > -745.0 else 0.0
-
-
 def binomial_cdf(x: int, trials: int, eps: float) -> float:
     """Probability of at most ``x`` successes in ``trials`` Bernoulli(eps) draws.
 
-    The tail on the shorter side of the distribution mode is accumulated with
-    a compensated (Kahan) sum driven by the exact term-ratio recurrence,
-    starting from a single anchored term; the summation never forms a term
-    naively, so tails of order 1e-9 at trials ~ 1e5 survive intact.  When
-    ``x`` sits at or above the mode the complement is summed instead, keeping
-    the absolute error tiny on both sides.
-
-    Absolute error is below 1e-14 while the anchor term is exactly
-    representable (trials <= ~1e3); for larger trial counts the log-gamma
-    anchor bounds the relative error by ~trials * ln(trials) * 1e-16, the
-    double-precision floor for tails this size.  Sample-size inversions have
-    orders of magnitude more slack than that, and an exact integer predicate
-    (``binomial_tail_leq_exact``) settles any borderline comparison.
+    Evaluated by ``scipy.special.bdtr`` (the Cephes binomial distribution
+    function, computed through the regularized incomplete beta).  The tests
+    hold it to 1e-14 absolute error against exact rationals for trials < 40,
+    to 2e-13 absolute error against ``scipy.stats.binom`` for trials <= 1e3,
+    and to 1e-9 relative (1e-11 absolute) error for trials up to 2e5.
+    The planned sample sizes are checked separately against the exact
+    integer predicate ``binomial_tail_leq_exact``.
 
     ``x`` may lie outside [0, trials]: the CDF is 0 below 0 and 1 at or above
     ``trials``.
@@ -107,41 +75,7 @@ def binomial_cdf(x: int, trials: int, eps: float) -> float:
         return 0.0
     if x >= trials:
         return 1.0
-
-    mode = int((trials + 1) * eps)
-    odds = eps / (1.0 - eps)
-    if x < mode:
-        # Lower tail: terms grow toward the anchor at j = x; walk downward.
-        term = _pmf_term(x, trials, eps)
-        total = term
-        comp = 0.0
-        j = x
-        while j > 0 and term > 0.0:
-            term *= j / ((trials - j + 1) * odds)
-            j -= 1
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            if term < total * 1e-18:
-                break
-        return min(1.0, total)
-
-    # Upper tail: terms shrink from the anchor at j = x + 1; walk upward.
-    term = _pmf_term(x + 1, trials, eps)
-    total = term
-    comp = 0.0
-    j = x + 1
-    while j < trials and term > 0.0:
-        term *= (trials - j) * odds / (j + 1)
-        j += 1
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if term < total * 1e-18:
-            break
-    return max(0.0, 1.0 - total)
+    return float(bdtr(x, trials, eps))
 
 
 def binomial_tail_leq_exact(x: int, trials: int, eps: Fraction, theta: Fraction) -> bool:
@@ -188,54 +122,12 @@ def log_beta(a: float, b: float) -> float:
     return float(gammaln(a) + gammaln(b) - gammaln(a + b))
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Modified Lentz evaluation of the continued fraction for I_x(a, b)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
-    )
-
-
 def regularized_incomplete_beta(eps: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_eps(a, b) = B(eps; a, b) / B(a, b).
 
-    Continued-fraction evaluation (modified Lentz) with the usual symmetry
-    switch at eps > (a + 1) / (a + b + 2) so the fraction converges fast on
-    either side.  Accurate to ~1e-14; callers relying on the 1e-12 contract
-    have headroom.
+    Evaluated by ``scipy.special.betainc``.  The tests hold it to 1e-10
+    absolute error against numerical quadrature, and to 1e-10 in the identity
+    linking it to ``binomial_cdf`` for integer shapes below 40.
 
     Raises:
         ValueError: if a <= 0, b <= 0, or eps is outside [0, 1].
@@ -248,12 +140,4 @@ def regularized_incomplete_beta(eps: float, a: float, b: float) -> float:
         return 0.0
     if eps == 1.0:
         return 1.0
-
-    log_front = (
-        a * math.log(eps) + b * math.log1p(-eps) - log_beta(a, b)
-    )
-    if eps < (a + 1.0) / (a + b + 2.0):
-        value = math.exp(log_front) * _beta_continued_fraction(a, b, eps) / a
-    else:
-        value = 1.0 - math.exp(log_front) * _beta_continued_fraction(b, a, 1.0 - eps) / b
-    return min(1.0, max(0.0, value))
+    return float(betainc(a, b, eps))

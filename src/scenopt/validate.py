@@ -12,9 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .bounds import SampleSizePlan
-from .probkernel import regularized_incomplete_beta
 from .program import ScenarioProgram, StageSpec
 from .scenario_core import (
     NS_REPLICATION,
@@ -44,18 +44,6 @@ class ViolationEstimate:
     alpha: float
 
 
-def _beta_quantile(q: float, a: float, b: float) -> float:
-    """Inverse of the regularized incomplete beta in its first argument."""
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if regularized_incomplete_beta(mid, a, b) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def clopper_pearson(violations: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial confidence interval at confidence 1 - alpha.
 
@@ -71,8 +59,8 @@ def clopper_pearson(violations: int, n: int, alpha: float = 0.05) -> tuple[float
         return 0.0, 1.0 - alpha ** (1.0 / n)
     if violations == n:
         return alpha ** (1.0 / n), 1.0
-    lo = _beta_quantile(alpha / 2.0, violations, n - violations + 1)
-    hi = _beta_quantile(1.0 - alpha / 2.0, violations + 1, n - violations)
+    lo = float(betaincinv(violations, n - violations + 1, alpha / 2.0))
+    hi = float(betaincinv(violations + 1, n - violations, 1.0 - alpha / 2.0))
     return lo, hi
 
 

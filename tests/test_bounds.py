@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scenopt.bounds import (
     refined_sample_size,
     split_confidence,
 )
-from scenopt.probkernel import binomial_cdf
+from scenopt.probkernel import binomial_cdf, binomial_tail_leq_exact
 from scenopt.cuboid_bench import CuboidInstance, cuboid_program
 
 from conftest import random_lp_program
@@ -61,6 +62,23 @@ class TestImplicitSampleSize:
             assert binomial_cdf(zeta - 1, k, eps) <= theta
             if k > zeta + 1:
                 assert binomial_cdf(zeta - 1, k - 1, eps) > theta
+
+    def test_exact_rational_minimality(self):
+        # Phi(R + zeta - 1; K, eps) <= theta / C(R + zeta - 1, R) decided in
+        # exact arithmetic, on the exact values of the doubles passed in.
+        for zeta in (1, 2, 5):
+            for eps in (1 / 100, 1 / 20, 1 / 10):
+                for theta in (1e-6, 1e-9):
+                    for r in (0, 1, 5):
+                        if r == 0:
+                            k = implicit_sample_size(zeta, eps, theta)
+                        else:
+                            k = implicit_sample_size_with_discarding(zeta, eps, theta, r)
+                        x = r + zeta - 1
+                        bound = Fraction(theta) / math.comb(x, r)
+                        assert binomial_tail_leq_exact(x, k, Fraction(eps), bound)
+                        if k > zeta + r + 1:
+                            assert not binomial_tail_leq_exact(x, k - 1, Fraction(eps), bound)
 
     def test_floor_at_rank_plus_one(self):
         # the closed-form inversion alone would give 1; the size floor

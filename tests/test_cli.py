@@ -6,9 +6,11 @@ import pytest
 from click.testing import CliRunner
 
 from scenopt.cli import main
-from scenopt.bounds import SampleSizePlan, StagePlan
+from scenopt.bounds import SampleSizePlan, StagePlan, plan_multistage
 from scenopt.program import program_from_json
 from scenopt.scenario_core import draw_multisample
+
+from conftest import random_lp_program
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 CUBOID = str(SPEC_DIR / "cuboid_n2.json")
@@ -46,6 +48,30 @@ class TestSamplesize:
         assert result.exit_code == 0
         size = int(result.output.splitlines()[0])
         assert size > 166
+
+    @pytest.mark.parametrize("method", ["implicit", "chernoff", "refined"])
+    @pytest.mark.parametrize("discard", [0, 5])
+    @pytest.mark.parametrize("zeta,eps,theta", [(1, 0.1, 1e-6), (5, 0.05, 1e-9)])
+    def test_matches_one_stage_plan(self, runner, method, discard, zeta, eps, theta):
+        result = runner.invoke(
+            main,
+            ["samplesize", "--zeta", str(zeta), "--eps", str(eps), "--theta", str(theta),
+             "--discard", str(discard), "--method", method],
+        )
+        assert result.exit_code == 0
+        program = random_lp_program(np.random.default_rng(0), dim=5)
+        program.stages[0].zeta_bar = zeta
+        program.stages[0].eps = eps
+        plan = plan_multistage(program, theta, method=method, discards=(discard,))
+        assert int(result.output.splitlines()[0]) == plan.sizes()[0]
+
+    def test_closed_form_raised_to_plan_floor(self, runner):
+        # the refined formula gives 2 here, below the plan floor zeta_bar + 1
+        result = runner.invoke(
+            main, ["samplesize", "--method", "refined", "--zeta", "2", "--eps", "0.99", "--theta", "0.99"]
+        )
+        assert result.exit_code == 0
+        assert result.output.splitlines()[0] == "3"
 
     def test_bad_flags_exit_2(self, runner):
         result = runner.invoke(main, ["samplesize", "--zeta", "2", "--eps", "1.5", "--theta", "0.5"])
@@ -173,3 +199,13 @@ class TestCuboidCommands:
         cells = lines[2].split(",")
         assert cells[0] == "10" and cells[1] == "2"
         assert float(cells[3]) > 0  # wide standard error in smoke mode
+
+    def test_table2_writes_named_cells_only(self, runner, tmp_path):
+        out = tmp_path / "table2.csv"
+        result = runner.invoke(
+            main,
+            ["cuboid", "table2", "--reps", "20", "--cells", "1:2,10:10", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        rows = [line.split(",")[:2] for line in out.read_text().splitlines()[2:]]
+        assert rows == [["1", "2"], ["10", "10"]]

@@ -2,7 +2,8 @@
 
 Subcommands: samplesize, plan, solve, validate, cuboid.  All randomness flows
 from --seed through named streams, so identical invocations produce identical
-bytes.  Exit codes: 0 success, 2 usage/schema errors, 3 infeasible program.
+bytes.  Exit codes: 0 success, 2 usage/schema errors, 3 infeasible program,
+4 simplex iteration limit.
 """
 
 from __future__ import annotations
@@ -43,6 +44,16 @@ def _default_threads() -> int:
         return max(1, int(env)) if env else 1
     except ValueError:
         return 1
+
+
+def _require_optimal(solution) -> None:
+    """Exit 4 on a simplex iteration limit, 3 on any other non-optimal status."""
+    if solution.status == "iteration-limit":
+        click.echo("simplex iteration limit reached; no solution", err=True)
+        sys.exit(4)
+    if solution.status != "optimal":
+        click.echo(f"program is {solution.status} under the drawn multisample", err=True)
+        sys.exit(3)
 
 
 def _write_manifest(out_dir: str, manifest: RunManifest) -> str:
@@ -189,17 +200,13 @@ def cmd_solve(
     }
     if algorithm == "none":
         solution = solve(program, ms)
-        if solution.status != "optimal":
-            click.echo(f"program is {solution.status} under the drawn multisample", err=True)
-            sys.exit(3)
+        _require_optimal(solution)
         support = support_set(program, ms, solution)
         doc.update(solution_to_json(solution, support=support))
     else:
         result = _ALGORITHMS[algorithm](program, ms, discards)
         solution = result.solution
-        if solution.status != "optimal":
-            click.echo(f"program is {solution.status} under the drawn multisample", err=True)
-            sys.exit(3)
+        _require_optimal(solution)
         doc.update(solution_to_json(solution))
         doc["removed"] = result.removed
         doc["objective_improvement"] = result.objective_improvement
@@ -260,7 +267,10 @@ def cmd_solve(
 )
 @click.option("--R", "discard_text", default=None, help="Per-stage removal counts.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="CSV destination.")
-@click.option("--threads", type=int, default=None)
+@click.option(
+    "--threads", type=int, default=None,
+    help="Recorded in the manifest only; the survey runs serially.",
+)
 def cmd_validate(
     spec_path: str,
     seed: int,
@@ -285,7 +295,7 @@ def cmd_validate(
     survey = violation_survey(
         program, plan, reps, seed=seed,
         discard_algorithm=None if algorithm == "none" else _ALGORITHMS[algorithm],
-        n_val=nval, alpha=alpha, threads=threads or _default_threads(),
+        n_val=nval, alpha=alpha,
     )
     lines = ["replication,stage,violation,exceeds"]
     for rep in range(survey.replications):

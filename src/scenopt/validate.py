@@ -8,7 +8,6 @@ does not (ties are measure-zero for continuous samplers).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,15 +115,15 @@ def violation_survey(
     discard_algorithm=None,
     n_val: int = 10_000,
     alpha: float = 0.05,
-    threads: int = 1,
 ) -> SurveyResult:
     """Repeat draw -> solve -> [discard] -> evaluate violation.
 
-    Each replication runs on its own derived seed, so the survey is
-    reproducible for any thread count.  Stages carrying an exact violation
+    Replications run one after another, each on its own derived seed, so
+    any one of them can be rerun alone.  Stages carrying an exact violation
     oracle are evaluated through it; the rest are estimated by fresh
-    Monte-Carlo sampling of ``n_val`` outcomes.  Infeasible replications are
-    counted separately and excluded from the violation sample.
+    Monte-Carlo sampling of ``n_val`` outcomes.  Replications whose solve is
+    not optimal (infeasible, or stopped at the simplex iteration limit) are
+    counted in ``infeasible`` and excluded from the violation sample.
 
     ``discard_algorithm``: None or a callable (program, ms, discards) ->
     RemovalResult, e.g. ``remove_greedy``; budgets come from the plan.
@@ -137,7 +136,7 @@ def violation_survey(
     feasible = np.zeros(replications, dtype=bool)
     discards = plan.discards() if hasattr(plan, "discards") else (0,) * n_stages
 
-    def run_one(rep: int) -> None:
+    for rep in range(replications):
         rep_seed = _replication_seed(seed, rep)
         ms = draw_multisample(program, plan, rep_seed)
         if discard_algorithm is not None and any(discards):
@@ -146,7 +145,7 @@ def violation_survey(
         else:
             solution = solve(program, ms)
         if solution.status != "optimal":
-            return
+            continue
         feasible[rep] = True
         objectives[rep] = solution.objective
         for i, stage in enumerate(program.stages):
@@ -155,13 +154,6 @@ def violation_survey(
             else:
                 estimate = estimate_violation(solution.x, stage, n_val, alpha, rep_seed)
                 violation[rep, i] = estimate.point
-
-    if threads <= 1 or replications == 0:
-        for rep in range(replications):
-            run_one(rep)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(replications)))
 
     n_feasible = int(np.sum(feasible))
     eps = np.array([stage.eps for stage in program.stages])

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from scenopt.cli import main
 from scenopt.bounds import SampleSizePlan, StagePlan, plan_multistage
 from scenopt.program import program_from_json
-from scenopt.scenario_core import draw_multisample
+from scenopt.lp import solve_lp, solve_lp_lexicographic
+from scenopt.scenario_core import draw_multisample, solve
 
 from conftest import random_lp_program
 
@@ -143,6 +144,18 @@ class TestSolve:
         spec.write_text(json.dumps(doc))
         result = runner.invoke(main, ["solve", "--spec", str(spec), "--seed", "1"])
         assert result.exit_code == 3
+
+    def test_iteration_limit_exit_4(self, runner, monkeypatch):
+        monkeypatch.setattr("scenopt.lp._ITERATIONS_PER_SIZE", 0)
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        assert solve_lp(np.ones(2), box, np.ones(4)).status == "iteration-limit"
+        assert solve_lp_lexicographic(np.ones(2), box, np.ones(4)).status == "iteration-limit"
+        program = program_from_json(json.loads(pathlib.Path(CUBOID).read_text()))
+        ms = draw_multisample(program, plan_multistage(program, 1e-6), 0)
+        assert solve(program, ms).status == "iteration-limit"
+        result = runner.invoke(main, ["solve", "--spec", CUBOID, "--seed", "0"])
+        assert result.exit_code == 4
+        assert "iteration limit" in result.output
 
     def test_outputs_reference_manifest(self, runner, tmp_path):
         out = tmp_path / "run"

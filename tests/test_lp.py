@@ -102,6 +102,59 @@ class TestSolveLp:
         assert hits > 10  # the family does generate infeasible instances
 
 
+def realistic_lp(family, d, m, seed):
+    """Dense random LP with a strictly feasible origin, in one of five shapes."""
+    rng = np.random.default_rng([seed, d, m])
+    a = rng.standard_normal((m, d))
+    b = rng.uniform(0.2, 1.5, size=m)
+    cost = rng.standard_normal(d)
+    box = 5.0
+    if family == "duplicated":
+        copies = rng.integers(0, m - m // 4, size=m // 4)
+        a[m - m // 4 :] = a[copies]
+        b[m - m // 4 :] = b[copies]
+    elif family == "scaled":
+        scale = 10.0 ** rng.uniform(-4.0, 4.0, size=m)
+        a *= scale[:, None]
+        b *= scale
+    elif family == "facet-cost":
+        cost = -a[rng.integers(0, m)]
+    elif family == "wide-box":
+        box = 1e6
+    eye = np.eye(d)
+    rows_a = np.vstack([a, eye, -eye])
+    rows_b = np.concatenate([b, np.full(2 * d, box)])
+    return cost, rows_a, rows_b
+
+
+def kkt_residuals(cost, rows_a, rows_b, x, duals):
+    """Primal slack, dual sign, stationarity and complementarity, each scaled
+    by the magnitude of the terms it compares."""
+    row_size = np.abs(rows_a).max(axis=1)
+    x_size = 1.0 + np.abs(x).max()
+    slack = rows_b - rows_a @ x
+    term_size = row_size * x_size + np.abs(rows_b)
+    cost_size = 1.0 + np.abs(cost).max()
+    return {
+        "primal": float(np.max(-slack / term_size, initial=0.0)),
+        "dual_sign": float(np.max(-duals * row_size, initial=0.0) / cost_size),
+        "stationarity": float(np.abs(rows_a.T @ duals + cost).max() / cost_size),
+        "complementarity": float(np.abs(duals * slack).max() / (cost_size * x_size)),
+    }
+
+
+@pytest.mark.parametrize("family", ["plain", "duplicated", "scaled", "facet-cost", "wide-box"])
+@pytest.mark.parametrize("d,m", [(10, 500), (10, 2000), (20, 500), (20, 2000), (40, 500), (40, 2000)])
+def test_matches_highs_at_realistic_sizes(family, d, m):
+    cost, rows_a, rows_b = realistic_lp(family, d, m, seed=20)
+    res = solve_lp(cost, rows_a, rows_b)
+    ref = scipy_solve(cost, rows_a, rows_b)
+    assert res.status == "optimal" and ref.status == 0
+    assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    for name, value in kkt_residuals(cost, rows_a, rows_b, res.x, res.duals).items():
+        assert value <= 1e-9, (name, value)
+
+
 class TestLexicographic:
     def test_unique_point_on_degenerate_face(self):
         # cost parallel to a facet: the whole segment x1 + x2 = 1 is optimal,

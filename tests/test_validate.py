@@ -154,11 +154,3 @@ class TestViolationSurvey:
         survey = violation_survey(program, plan, 8, seed=2)
         assert survey.infeasible == 8
         assert np.all(np.isnan(survey.violation))
-
-    def test_thread_count_invariance(self):
-        program = order_stats_program()
-        plan = single_stage_plan(15, 0.1)
-        s1 = violation_survey(program, plan, 40, seed=8, threads=1)
-        s4 = violation_survey(program, plan, 40, seed=8, threads=4)
-        assert np.array_equal(s1.violation, s4.violation, equal_nan=True)
-        assert np.array_equal(s1.objectives, s4.objectives, equal_nan=True)

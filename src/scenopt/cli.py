@@ -166,7 +166,10 @@ def cmd_plan(spec_path: str, theta: float, method: str, discard_text: str | None
 @click.option("--validate", "n_val", type=int, default=0, help="Validation draws per stage.")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Write outputs here.")
-@click.option("--threads", type=int, default=None, help="Worker cap (env SCENARIO_OPT_THREADS).")
+@click.option(
+    "--threads", type=int, default=None,
+    help="Recorded in the manifest only; the solve runs serially.",
+)
 def cmd_solve(
     spec_path: str,
     seed: int,

@@ -7,7 +7,8 @@ lowest sample index, so a removal result is reproducible bit for bit.
 After removal, ``check_discard_assumption`` reports per stage whether the
 probabilistic guarantee for discarding applies: either every removed
 constraint is violated by the reduced solution, or the stage was declared
-monotone.  A FAIL is a result, not an exception.
+monotone.  A FAIL is a result, not an exception, and so is a program that
+is not optimal before or during removal: the result carries its status.
 """
 
 from __future__ import annotations
@@ -56,24 +57,13 @@ def _budgets(program: ScenarioProgram, ms: MultiSample, discards) -> list[int]:
 
 
 def _finish(
-    program: ScenarioProgram,
-    ms: MultiSample,
-    assembled: AssembledProgram,
-    drop: list[tuple[int, int]],
-    base_objective: float,
-    solution: Solution | None = None,
+    program: ScenarioProgram, ms: MultiSample, drop: list[tuple[int, int]],
+    base_objective: float, solution: Solution,
 ) -> RemovalResult:
-    if solution is None:
-        res, _ = assembled.solve_lex(drop=drop)
-        solution = assembled.to_solution(res)
-    removed: list[list[int]] = [[] for _ in range(program.n_stages)]
-    for i, kappa in drop:
-        removed[i].append(kappa)
-    removed = [sorted(r) for r in removed]
-    improvement = base_objective - solution.objective
+    removed = [sorted(kappa for j, kappa in drop if j == i) for i in range(program.n_stages)]
     result = RemovalResult(
         removed=removed, solution=solution,
-        objective_improvement=improvement, assumption_modes=[],
+        objective_improvement=base_objective - solution.objective, assumption_modes=[],
     )
     result.assumption_modes = check_discard_assumption(program, ms, result)
     return result
@@ -88,7 +78,9 @@ def remove_optimal(
     """Exhaustive search over all per-stage removal combinations.
 
     Ties on the reduced objective break toward the lexicographically smallest
-    removed-index tuple.  Guarded by the total combination count.
+    removed-index tuple.  Guarded by the total combination count.  A base
+    program that is not optimal comes back with no removals, its status on
+    the solution and a NaN improvement.
     """
     budgets = _budgets(program, ms, discards)
     sizes = ms.sizes()
@@ -101,10 +93,10 @@ def remove_optimal(
     assembled = AssembledProgram(program, ms)
     base = assembled.objective()
     if base is None:
-        raise ValueError("base problem is not solvable")
+        return _finish(program, ms, [], math.nan, assembled.to_solution(assembled.solve_lex()))
 
     best_obj = math.inf
-    best_combo: tuple = ()
+    best_drop: list[tuple[int, int]] = []
     for combo in itertools.product(
         *[itertools.combinations(range(sizes[i]), budgets[i]) for i in range(len(sizes))]
     ):
@@ -114,118 +106,91 @@ def remove_optimal(
             continue
         if obj < best_obj - _OBJ_TIE_TOL * (1.0 + abs(obj)):
             best_obj = obj
-            best_combo = combo
-    drop = [(i, kappa) for i in range(len(best_combo)) for kappa in best_combo[i]]
-    return _finish(program, ms, assembled, drop, base)
+            best_drop = drop
+    solution = assembled.to_solution(assembled.solve_lex(drop=best_drop))
+    return _finish(program, ms, best_drop, base, solution)
+
+
+def _remove_sequentially(program: ScenarioProgram, ms: MultiSample, discards, pick) -> RemovalResult:
+    """Drop one sample at a time, as chosen by ``pick``, re-solving after each.
+
+    ``pick(assembled, current, drop, candidates)`` returns one of the
+    candidates: the samples not yet dropped in stages with budget left, in
+    (stage, sample) order.  The loop ends when the budgets are used up or a
+    solve is not optimal; that solve's status is the result's status.
+    """
+    budgets = _budgets(program, ms, discards)
+    sizes = ms.sizes()
+    assembled = AssembledProgram(program, ms)
+    current = assembled.to_solution(assembled.solve_lex())
+    base = current.objective
+    drop: list[tuple[int, int]] = []
+    while current.status == "optimal" and any(budgets):
+        candidates = [
+            (i, kappa) for i in range(program.n_stages) if budgets[i] > 0
+            for kappa in range(sizes[i]) if (i, kappa) not in drop
+        ]
+        chosen = pick(assembled, current, drop, candidates)
+        drop.append(chosen)
+        budgets[chosen[0]] -= 1
+        current = assembled.to_solution(assembled.solve_lex(drop=drop))
+    return _finish(program, ms, drop, base, current)
+
+
+def _lowest_objective(assembled, current, drop, candidates):
+    """The candidate whose removal lowers the re-solved objective the most.
+
+    Only active candidates are re-solved: a slack one cannot move the
+    optimizer, so it ties at the current objective.  Ties go to the first.
+    """
+    active = [set(a) for a in current.active]
+    best_obj = math.inf
+    best = candidates[0]
+    for i, kappa in candidates:
+        obj = current.objective
+        if kappa in active[i]:
+            obj = assembled.objective(drop=drop + [(i, kappa)])
+        if obj is not None and obj < best_obj - _OBJ_TIE_TOL * (1.0 + abs(obj)):
+            best_obj = obj
+            best = (i, kappa)
+    return best
+
+
+def _largest_multiplier(assembled, current, drop, candidates):
+    """The candidate with the largest sample-aggregated multiplier.
+
+    When every multiplier is numerically zero the choice falls to
+    ``_lowest_objective`` over the active candidates; when nothing is active,
+    to the first candidate.
+    """
+    mults = np.array([current.stage_duals[i][kappa] for i, kappa in candidates])
+    top = float(mults.max())
+    if top > 1e-9:
+        return next(c for c, mult in zip(candidates, mults) if mult >= top - 1e-9 * (1.0 + top))
+    active = [(i, kappa) for i, kappa in candidates if kappa in current.active[i]]
+    return _lowest_objective(assembled, current, drop, active) if active else candidates[0]
 
 
 def remove_greedy(program: ScenarioProgram, ms: MultiSample, discards) -> RemovalResult:
     """Sequential removal: each step drops the single constraint (over all
     stages with remaining budget) whose removal lowers the re-solved objective
-    the most.
-
-    A constraint slack at the current optimizer cannot move it, so only active
-    candidates are re-solved; slack candidates tie at the current objective.
+    the most.  A base or reduced program that is not optimal ends the
+    removals with its status and a NaN improvement.
     """
-    budgets = _budgets(program, ms, discards)
-    sizes = ms.sizes()
-    assembled = AssembledProgram(program, ms)
-    res, _ = assembled.solve_lex()
-    if res.status != "optimal":
-        raise ValueError(f"base problem is not solvable: status {res.status}")
-    current = assembled.to_solution(res)
-    base = current.objective
-    drop: list[tuple[int, int]] = []
-
-    for _ in range(sum(budgets)):
-        dropped = set(drop)
-        best_obj = math.inf
-        best_pair: tuple[int, int] | None = None
-        for i in range(program.n_stages):
-            if budgets[i] == 0:
-                continue
-            active = set(current.active[i])
-            for kappa in range(sizes[i]):
-                if (i, kappa) in dropped:
-                    continue
-                if kappa in active:
-                    obj = assembled.objective(drop=drop + [(i, kappa)])
-                    if obj is None:
-                        continue
-                else:
-                    obj = current.objective
-                if obj < best_obj - _OBJ_TIE_TOL * (1.0 + abs(obj)):
-                    best_obj = obj
-                    best_pair = (i, kappa)
-        if best_pair is None:
-            break
-        drop.append(best_pair)
-        budgets[best_pair[0]] -= 1
-        res, _ = assembled.solve_lex(drop=drop)
-        current = assembled.to_solution(res)
-
-    return _finish(program, ms, assembled, drop, base, solution=current)
+    return _remove_sequentially(program, ms, discards, _lowest_objective)
 
 
 def remove_marginal(program: ScenarioProgram, ms: MultiSample, discards) -> RemovalResult:
     """Sequential removal guided by the largest Lagrange multiplier.
 
-    Each step removes the active constraint (within remaining budgets) whose
+    Each step removes the constraint (within remaining budgets) whose
     sample-aggregated multiplier is largest; a step where every multiplier is
-    numerically zero falls back to a greedy search restricted to the active
-    set.  Ties break as in the greedy algorithm.
+    numerically zero falls back to the greedy choice among the active
+    constraints, and a step with nothing active removes the first remaining
+    sample.  Ties break as in the greedy algorithm.  A base or reduced
+    program that is not optimal ends the removals as in ``remove_greedy``.
     """
-    budgets = _budgets(program, ms, discards)
-    assembled = AssembledProgram(program, ms)
-    res, _ = assembled.solve_lex()
-    if res.status != "optimal":
-        raise ValueError(f"base problem is not solvable: status {res.status}")
-    current = assembled.to_solution(res)
-    base = current.objective
-    drop: list[tuple[int, int]] = []
-
-    sizes = ms.sizes()
-    for _ in range(sum(budgets)):
-        dropped = set(drop)
-        candidates = [
-            (i, kappa)
-            for i in range(program.n_stages)
-            if budgets[i] > 0
-            for kappa in current.active[i]
-            if (i, kappa) not in dropped
-        ]
-        if not candidates:
-            # Budgeted stages may have nothing active; the removal count is
-            # still contractual, so fall back to the greedy tie-break over
-            # every remaining sample in those stages.
-            candidates = [
-                (i, kappa)
-                for i in range(program.n_stages)
-                if budgets[i] > 0
-                for kappa in range(sizes[i])
-                if (i, kappa) not in dropped
-            ]
-        mults = np.array([current.stage_duals[i][kappa] for i, kappa in candidates])
-        top = float(mults.max())
-        if top > 1e-9:
-            eligible = [c for c, mult in zip(candidates, mults) if mult >= top - 1e-9 * (1.0 + top)]
-            pick = min(eligible)
-        else:
-            best_obj = math.inf
-            pick = None
-            for pair in candidates:
-                obj = assembled.objective(drop=drop + [pair])
-                if obj is not None and obj < best_obj - _OBJ_TIE_TOL * (1.0 + abs(obj)):
-                    best_obj = obj
-                    pick = pair
-            if pick is None:
-                pick = min(candidates)
-        drop.append(pick)
-        budgets[pick[0]] -= 1
-        res, _ = assembled.solve_lex(drop=drop)
-        current = assembled.to_solution(res)
-
-    return _finish(program, ms, assembled, drop, base, solution=current)
+    return _remove_sequentially(program, ms, discards, _largest_multiplier)
 
 
 def check_discard_assumption(
@@ -234,8 +199,9 @@ def check_discard_assumption(
     """Per-stage applicability of the discarding guarantee.
 
     A stage with removals passes as "violated-by-reduced" when every removed
-    constraint is violated by the reduced solution (margin > 1e-9); otherwise
-    a declared-monotone stage passes as "monotone-declared"; otherwise the
+    constraint is violated by the reduced solution (margin > 1e-9, which the
+    NaN point of a non-optimal solution never has); otherwise a
+    declared-monotone stage passes as "monotone-declared"; otherwise the
     stage is flagged FAIL, meaning the a-priori bound is not certified for it.
     """
     x = result.solution.x
@@ -248,7 +214,7 @@ def check_discard_assumption(
         all_violated = True
         for kappa in removed:
             a, b = stage.generator.rows(ms.outcomes[i][kappa])
-            if float(np.max(a @ x - b)) <= _VIOLATION_MARGIN:
+            if not float(np.max(a @ x - b)) > _VIOLATION_MARGIN:
                 all_violated = False
                 break
         if all_violated:

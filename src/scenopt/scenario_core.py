@@ -158,12 +158,11 @@ class AssembledProgram:
     def solve_lex(self, drop=()):
         mask = self._mask(drop)
         res = solve_lp_lexicographic(self.program.cost, self.a[mask], self.b[mask])
-        if res.status != "optimal":
-            return res, mask
-        duals = np.zeros(self.b.shape[0])
-        duals[mask] = res.duals
-        res.duals = duals
-        return res, mask
+        if res.status == "optimal":
+            duals = np.zeros(self.b.shape[0])
+            duals[mask] = res.duals
+            res.duals = duals
+        return res
 
     def objective(self, drop=()) -> float | None:
         mask = self._mask(drop)
@@ -206,7 +205,7 @@ def solve(program: ScenarioProgram, ms: MultiSample) -> Solution:
     """Unique optimizer of the assembled program under the lexicographic
     tie-break.  Infeasibility is surfaced through ``status``."""
     assembled = AssembledProgram(program, ms)
-    res, _ = assembled.solve_lex()
+    res = assembled.solve_lex()
     return assembled.to_solution(res)
 
 
@@ -231,7 +230,7 @@ def support_set(
     for i in range(program.n_stages):
         members = []
         for kappa in solution.active[i]:
-            res, _ = assembled.solve_lex(drop=[(i, kappa)])
+            res = assembled.solve_lex(drop=[(i, kappa)])
             if res.status != "optimal" or _moved(res.x, solution.x):
                 members.append(kappa)
         result.append(members)
@@ -261,7 +260,7 @@ def essential_sets_bruteforce(
     if total > max_total:
         raise ValueError(f"{total} sampled constraints exceed the brute-force guard {max_total}")
     assembled = AssembledProgram(program, ms)
-    res_full, _ = assembled.solve_lex()
+    res_full = assembled.solve_lex()
     if res_full.status != "optimal":
         raise ValueError(f"full problem is not solvable: status {res_full.status}")
     x_full = res_full.x
@@ -272,7 +271,7 @@ def essential_sets_bruteforce(
     def solve_subset(kept: frozenset) -> np.ndarray | None:
         if kept not in cache:
             drop = [p for p in all_pairs if p not in kept]
-            res, _ = assembled.solve_lex(drop=drop)
+            res = assembled.solve_lex(drop=drop)
             cache[kept] = res.x if res.status == "optimal" else None
         return cache[kept]
 

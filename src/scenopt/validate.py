@@ -123,7 +123,9 @@ def violation_survey(
     oracle are evaluated through it; the rest are estimated by fresh
     Monte-Carlo sampling of ``n_val`` outcomes.  Replications whose solve is
     not optimal (infeasible, or stopped at the simplex iteration limit) are
-    counted in ``infeasible`` and excluded from the violation sample.
+    counted in ``infeasible`` and excluded from the violation sample; with
+    discarding, that is the status of the removal result, which is not
+    optimal when the base or a reduced program is not.
 
     ``discard_algorithm``: None or a callable (program, ms, discards) ->
     RemovalResult, e.g. ``remove_greedy``; budgets come from the plan.

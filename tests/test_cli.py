@@ -23,6 +23,10 @@ def runner():
     return CliRunner()
 
 
+def _discard_args(algorithm: str) -> list[str]:
+    return [] if algorithm == "none" else ["--discard", algorithm, "--R", "1"]
+
+
 class TestSamplesize:
     def test_reference_value(self, runner):
         result = runner.invoke(main, ["samplesize", "--zeta", "2", "--eps", "0.01", "--theta", "5e-7"])
@@ -137,15 +141,19 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--spec", ORDER_STATS, "--R", "2"])
         assert result.exit_code == 2
 
-    def test_infeasible_exit_3(self, runner, tmp_path):
+    @pytest.mark.parametrize("algorithm", ["none", "greedy", "marginal", "optimal"])
+    def test_infeasible_exit_3(self, runner, tmp_path, algorithm):
         doc = json.loads(pathlib.Path(ORDER_STATS).read_text())
         doc["deterministic_rows"] = [{"a": [1.0], "b": -2.0}]  # x <= -2 vs x >= delta
         spec = tmp_path / "infeasible.json"
         spec.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["solve", "--spec", str(spec), "--seed", "1"])
+        result = runner.invoke(
+            main, ["solve", "--spec", str(spec), "--seed", "1"] + _discard_args(algorithm)
+        )
         assert result.exit_code == 3
 
-    def test_iteration_limit_exit_4(self, runner, monkeypatch):
+    @pytest.mark.parametrize("algorithm", ["none", "greedy", "marginal", "optimal"])
+    def test_iteration_limit_exit_4(self, runner, monkeypatch, algorithm):
         monkeypatch.setattr("scenopt.lp._ITERATIONS_PER_SIZE", 0)
         box = np.vstack([np.eye(2), -np.eye(2)])
         assert solve_lp(np.ones(2), box, np.ones(4)).status == "iteration-limit"
@@ -153,7 +161,9 @@ class TestSolve:
         program = program_from_json(json.loads(pathlib.Path(CUBOID).read_text()))
         ms = draw_multisample(program, plan_multistage(program, 1e-6), 0)
         assert solve(program, ms).status == "iteration-limit"
-        result = runner.invoke(main, ["solve", "--spec", CUBOID, "--seed", "0"])
+        result = runner.invoke(
+            main, ["solve", "--spec", CUBOID, "--seed", "0"] + _discard_args(algorithm)
+        )
         assert result.exit_code == 4
         assert "iteration limit" in result.output
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from scenopt.discard import (
+    RemovalResult,
+    check_discard_assumption,
     monotonicity_empirical_check,
     remove_greedy,
     remove_marginal,
@@ -14,6 +16,7 @@ from scenopt.program import (
     LinearRowsGenerator,
     MultiSample,
     ScenarioProgram,
+    Solution,
     StageSpec,
     UniformSampler,
     program_from_json,
@@ -168,6 +171,19 @@ class TestRemoveMarginal:
         assert wins / total >= 0.95
 
 
+@pytest.mark.parametrize("algorithm", [remove_optimal, remove_greedy, remove_marginal])
+def test_infeasible_base_ends_in_status(algorithm):
+    program = order_stats_program()
+    program.det_a = np.array([[1.0]])  # x <= -2 against x >= delta
+    program.det_b = np.array([-2.0])
+    program.__post_init__()
+    result = algorithm(program, fixed_1d([0.9, 0.8, 0.5, 0.3]), [2])
+    assert result.solution.status == "infeasible"
+    assert result.removed == [[]]
+    assert result.assumption_modes == ["none"]
+    assert np.isnan(result.objective_improvement)
+
+
 class TestCheckDiscardAssumption:
     def test_violated_by_reduced(self):
         program = order_stats_program()
@@ -195,6 +211,25 @@ class TestCheckDiscardAssumption:
         )
         result = remove_greedy(program, ms, [0, 1])
         assert result.assumption_modes == ["none", "FAIL"]
+
+    def test_nan_solution_fails(self):
+        # A reduced solve that is not optimal leaves x at NaN, which violates
+        # no removed row, so the non-monotone stage cannot pass.
+        program = slack_stage_program()
+        ms = MultiSample(
+            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])],
+            tie_breaks=[np.array([0.1, 0.2]), np.array([0.3, 0.4])],
+            tie_break_box=0.5, provenance={},
+        )
+        solution = Solution(
+            x=np.full(1, np.nan), objective=np.nan, status="iteration-limit",
+            active=[[], []], stage_duals=[np.zeros(2), np.zeros(2)], fixed_duals=np.zeros(2),
+        )
+        result = RemovalResult(
+            removed=[[], [0]], solution=solution,
+            objective_improvement=np.nan, assumption_modes=[],
+        )
+        assert check_discard_assumption(program, ms, result) == ["none", "FAIL"]
 
 
 @pytest.fixture(scope="module")

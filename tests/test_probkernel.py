@@ -97,6 +97,10 @@ class TestBinomialCdf:
             float(binom.cdf(x, k, eps)), abs=2e-13
         )
 
+    def test_bulk_draw_regression(self):
+        # a draw where the Cephes ``bdtr`` route was 2.7e-13 off the exact sum
+        assert binomial_cdf(22, 466, 0.046875) == pytest.approx(0.5699501907551545, abs=2e-13)
+
     @given(
         st.integers(1001, 200_000),
         st.floats(0.005, 0.5),

@@ -145,12 +145,13 @@ class TestViolationSurvey:
             fourth = np.sort(ms.outcomes[0].ravel())[-4]
             assert survey.objectives[rep] == pytest.approx(fourth, abs=1e-9)
 
-    def test_infeasible_replications_counted(self):
+    @pytest.mark.parametrize("discard_algorithm", [None, remove_greedy])
+    def test_infeasible_replications_counted(self, discard_algorithm):
         program = order_stats_program()
         program.det_a = np.array([[1.0]])
         program.det_b = np.array([-2.0])
         program.__post_init__()
-        plan = single_stage_plan(5, 0.1)
-        survey = violation_survey(program, plan, 8, seed=2)
+        plan = single_stage_plan(5, 0.1, discard=1)
+        survey = violation_survey(program, plan, 8, seed=2, discard_algorithm=discard_algorithm)
         assert survey.infeasible == 8
         assert np.all(np.isnan(survey.violation))

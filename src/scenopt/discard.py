@@ -125,13 +125,15 @@ def _remove_sequentially(program: ScenarioProgram, ms: MultiSample, discards, pi
     current = assembled.to_solution(assembled.solve_lex())
     base = current.objective
     drop: list[tuple[int, int]] = []
+    dropped: set[tuple[int, int]] = set()
     while current.status == "optimal" and any(budgets):
         candidates = [
             (i, kappa) for i in range(program.n_stages) if budgets[i] > 0
-            for kappa in range(sizes[i]) if (i, kappa) not in drop
+            for kappa in range(sizes[i]) if (i, kappa) not in dropped
         ]
         chosen = pick(assembled, current, drop, candidates)
         drop.append(chosen)
+        dropped.add(chosen)
         budgets[chosen[0]] -= 1
         current = assembled.to_solution(assembled.solve_lex(drop=drop))
     return _finish(program, ms, drop, base, current)

@@ -13,9 +13,10 @@ starting basis of the dual, so the simplex has no phase 1.  When a coordinate
 has no such row the status is ``unbounded-guard``; a solve that runs out of
 pivots ends with ``iteration-limit``.
 
-``solve_lp`` returns one optimizer plus duals; ``solve_lp_lexicographic``
-re-optimizes coordinate by coordinate over the optimal face so the returned
-point is the unique lexicographic minimizer.
+``solve_lp`` returns one optimizer plus duals.  ``solve_lp_lexicographic``
+returns that optimizer when d positive duals certify it as the only one, and
+otherwise re-optimizes coordinate by coordinate over the optimal face, so the
+returned point is always the unique lexicographic minimizer.
 """
 
 from __future__ import annotations
@@ -139,9 +140,13 @@ def solve_lp_lexicographic(
 ) -> LpSolution:
     """Unique optimizer under the lexicographic tie-break.
 
-    After minimizing cost'x, coordinates x_1, x_2, ... are minimized in turn
-    over the (tolerance-thickened) optimal face, one ``solve_lp`` call per
-    coordinate pass.  A coordinate is skipped only when it lies in the span of
+    The first ``solve_lp`` result is returned as it is when d of its duals
+    exceed 1e-9 times (1 + the largest dual): nonzero duals sit only on the
+    d independent basic rows, and every optimal x is tight on those rows.
+    Otherwise (a round-off-level basic dual, a flat optimal face, or a zero
+    cost) coordinates x_1, x_2, ... are minimized in turn over the
+    (tolerance-thickened) optimal face, one ``solve_lp`` call per coordinate
+    pass.  A coordinate is skipped only when it lies in the span of
     the directions already pinned (the cost and the earlier coordinates).
     That holds for exactly one coordinate, the last one on which the cost is
     nonzero, so a nonzero cost takes up to d - 1 passes after the first solve
@@ -157,8 +162,8 @@ def solve_lp_lexicographic(
     first = solve_lp(cost, rows_a, rows_b)
     if first.status != OPTIMAL:
         return first
-    if d == 1 and cost[0] != 0.0:
-        return first  # an interval endpoint; already the unique optimizer
+    if np.count_nonzero(first.duals > _TOL * (1.0 + first.duals.max())) == d:
+        return first
 
     # The returned point is always a solver output (never a coordinate-wise
     # composition), so it satisfies every row to solver accuracy; pinned

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from scenopt import lp
 from scenopt.lp import solve_lp, solve_lp_lexicographic
 
 
@@ -155,13 +156,27 @@ def test_matches_highs_at_realistic_sizes(family, d, m):
         assert value <= 1e-9, (name, value)
 
 
+@pytest.fixture
+def solve_lp_calls(monkeypatch):
+    """Counts the ``solve_lp`` calls that ``solve_lp_lexicographic`` makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    return calls
+
+
 class TestLexicographic:
-    def test_unique_point_on_degenerate_face(self):
+    def test_unique_point_on_degenerate_face(self, solve_lp_calls):
         # cost parallel to a facet: the whole segment x1 + x2 = 1 is optimal,
         # and the tie-break must pick its lexicographically minimal vertex
         a = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1], [-1.0, -1.0]])
         b = np.array([2.0, 2.0, 2.0, 2.0, -1.0])
         res = solve_lp_lexicographic(np.array([1.0, 1.0]), a, b)
+        assert len(solve_lp_calls) == 2  # one positive dual of two: x_1 pass
         assert res.objective == pytest.approx(1.0, abs=1e-9)
         assert res.x[0] == pytest.approx(-1.0, abs=1e-9)
         assert res.x[1] == pytest.approx(2.0, abs=1e-9)
@@ -183,11 +198,12 @@ class TestLexicographic:
             # r2's j-th dual belongs to original row perm[j]
             assert np.array_equal(r1.duals[perm], r2.duals)
 
-    def test_lexicographic_beats_plain_on_ties(self):
+    def test_lexicographic_beats_plain_on_ties(self, solve_lp_calls):
         # plain solve may return any optimal vertex; lexicographic pins it
         a = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1]])
         b = np.ones(4)
         res = solve_lp_lexicographic(np.array([0.0, 0.0]), a, b)
+        assert len(solve_lp_calls) == 3  # zero cost: x_1 and x_2 passes
         assert res.x == pytest.approx([-1.0, -1.0], abs=1e-9)
 
     def test_matches_vertex_enumeration(self, rng):
@@ -212,3 +228,28 @@ class TestLexicographic:
                         best = (key, v)
             assert best is not None
             assert np.max(np.abs(best[1] - res.x)) < 5e-7
+
+
+class TestCertifiedVertex:
+    def test_unique_vertex_takes_one_solve(self, rng, solve_lp_calls):
+        for d in range(1, 7):
+            cost, rows_a, rows_b = random_bounded_lp(rng, d, 4 * d)
+            solve_lp_calls.clear()
+            res = solve_lp_lexicographic(cost, rows_a, rows_b)
+            ref = scipy_solve(cost, rows_a, rows_b)
+            assert len(solve_lp_calls) == 1
+            assert np.count_nonzero(res.duals > 0.0) == d
+            assert np.abs(res.x - ref.x).max() <= 1e-9
+
+    def test_zero_basic_dual_does_not_certify(self, solve_lp_calls):
+        # cost parallel to the row x1 + x2 + x3 <= 1: that row carries the
+        # only positive dual, the other two basic duals are zero, and the
+        # first solve stops at (1, 1, -1) on the optimal triangle
+        a = np.vstack([np.ones(3), np.eye(3), -np.eye(3)])
+        b = np.ones(7)
+        first = solve_lp(-np.ones(3), a, b)
+        assert np.count_nonzero(first.duals > 0.0) == 1
+        res = solve_lp_lexicographic(-np.ones(3), a, b)
+        assert len(solve_lp_calls) == 3  # cost solve, then x_1 and x_2; x_3 is pinned
+        assert res.x == pytest.approx([-1.0, 1.0, 1.0], abs=1e-9)
+        assert np.array_equal(res.duals, first.duals)

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from scenopt.bounds import plan_multistage
 from scenopt.program import (
     LinearRowsGenerator,
     MultiSample,
@@ -12,6 +16,7 @@ from scenopt.scenario_core import (
     NS_TIEBREAK,
     NS_TRAIN,
     NS_VALIDATION,
+    AssembledProgram,
     derived_stream,
     draw_multisample,
     essential_sets_bruteforce,
@@ -151,6 +156,20 @@ class TestSolve:
         x3 = solve(program, msp).x
         assert np.array_equal(x1, x2)
         assert np.array_equal(x1, x3)
+
+    def test_former_cycling_case_is_optimal(self):
+        # 1 824 rows at d = 12 on which Bland pricing cycled until the pivot
+        # budget ran out; the first vertex carries 12 positive duals, so no
+        # coordinate pass runs
+        program = random_lp_program(np.random.default_rng(1), dim=12, n_stages=5)
+        program.stages = [dataclasses.replace(s, eps=0.05) for s in program.stages]
+        ms = draw_multisample(program, plan_multistage(program, 1e-6), 7)
+        sol = solve(program, ms)
+        assembled = AssembledProgram(program, ms)
+        ref = linprog(program.cost, A_ub=assembled.a, b_ub=assembled.b,
+                      bounds=(None, None), method="highs")
+        assert sol.status == "optimal" and ref.status == 0
+        assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
 
 
 class TestSupportSet:

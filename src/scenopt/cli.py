@@ -38,14 +38,6 @@ class RunManifest:
     wall_clock_s: float = 0.0
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SCENARIO_OPT_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def _require_optimal(solution) -> None:
     """Exit 4 on a simplex iteration limit, 3 on any other non-optimal status."""
     if solution.status == "iteration-limit":
@@ -167,7 +159,7 @@ def cmd_plan(spec_path: str, theta: float, method: str, discard_text: str | None
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Write outputs here.")
 @click.option(
-    "--threads", type=int, default=None,
+    "--threads", type=int, default=1, show_default=True,
     help="Recorded in the manifest only; the solve runs serially.",
 )
 def cmd_solve(
@@ -180,7 +172,7 @@ def cmd_solve(
     n_val: int,
     alpha: float,
     out_dir: str | None,
-    threads: int | None,
+    threads: int,
 ) -> None:
     """Plan, draw, solve, optionally discard and validate, then emit JSON."""
     started = time.monotonic()
@@ -231,7 +223,7 @@ def cmd_solve(
             params={
                 "spec": spec_path, "theta": theta, "method": method,
                 "discard_algorithm": algorithm, "discards": list(discards),
-                "validate": n_val, "alpha": alpha, "threads": threads or _default_threads(),
+                "validate": n_val, "alpha": alpha, "threads": threads,
             },
             seed=seed,
             version=__version__,
@@ -271,7 +263,7 @@ def cmd_solve(
 @click.option("--R", "discard_text", default=None, help="Per-stage removal counts.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="CSV destination.")
 @click.option(
-    "--threads", type=int, default=None,
+    "--threads", type=int, default=1, show_default=True,
     help="Recorded in the manifest only; the survey runs serially.",
 )
 def cmd_validate(
@@ -285,7 +277,7 @@ def cmd_validate(
     algorithm: str,
     discard_text: str | None,
     out_path: str | None,
-    threads: int | None,
+    threads: int,
 ) -> None:
     """Replicated violation survey; CSV rows (replication, stage, violation, exceeds)."""
     started = time.monotonic()
@@ -317,7 +309,7 @@ def cmd_validate(
             params={
                 "spec": spec_path, "reps": reps, "nval": nval, "alpha": alpha,
                 "theta": theta, "method": method, "discard_algorithm": algorithm,
-                "discards": list(discards), "threads": threads or _default_threads(),
+                "discards": list(discards), "threads": threads,
             },
             seed=seed,
             version=__version__,
@@ -389,16 +381,16 @@ def _parse_cells(text: str) -> list[tuple[float, int]]:
 @click.option("--cells", default="all", show_default=True, help="'all' or 'eps%:n' pairs.")
 @click.option("--theta", type=float, default=1e-6, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="table2.csv", show_default=True)
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=int, default=1, show_default=True)
 def cmd_table2(
-    reps: int, seed: int, cells: str, theta: float, out_path: str, threads: int | None
+    reps: int, seed: int, cells: str, theta: float, out_path: str, threads: int
 ) -> None:
     """Monte-Carlo the single-over-multi objective surplus grid as CSV."""
     started = time.monotonic()
     named = _parse_cells(cells)
     table = run_table2_cells(
         named, replications=reps, seed=seed, theta_total=theta,
-        threads=threads or _default_threads(),
+        threads=threads,
     )
     lines = ["eps_percent,n,mean_surplus,stderr,replications"]
     for eps, n in named:
@@ -412,7 +404,7 @@ def cmd_table2(
     manifest = RunManifest(
         command="cuboid table2",
         params={"reps": reps, "cells": cells, "theta": theta,
-                "threads": threads or _default_threads()},
+                "threads": threads},
         seed=seed, version=__version__, outputs=[out_path],
         wall_clock_s=time.monotonic() - started,
     )

@@ -11,10 +11,14 @@ interval is the hull of that coordinate's samples.  The LP path over the
 (z, w) layout with a width-sum objective reproduces the same (z, w) and is
 used as a cross-check oracle in tests.
 
-``run_table1`` tabulates planned sample sizes on the benchmark grid;
-``run_table2`` Monte-Carlos the relative objective surplus of the single-stage
-treatment over the multi-stage one on that grid, and ``run_table2_cells`` on
-a list of named cells.
+``cuboid_plan`` states the sizing rule once, through
+``bounds.stage_sample_size`` at the implicit bound: support rank 2 at an even
+share of the confidence budget per coordinate, against rank 2n + 1 at the
+full budget for the joint constraint.  ``run_table1`` tabulates those sizes on
+the benchmark grid; ``run_table2`` Monte-Carlos the relative objective surplus
+of the single-stage treatment over the multi-stage one on that grid, and
+``run_table2_cells`` on a list of named cells.  Both modes share one
+Monte-Carlo block kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SampleSizePlan, StagePlan, implicit_sample_size, split_confidence
+from .bounds import SampleSizePlan, StagePlan, split_confidence, stage_sample_size
 from .program import (
     CuboidCoordinateGenerator,
     LinearRowsGenerator,
@@ -165,38 +169,39 @@ def cuboid_program(instance: CuboidInstance) -> ScenarioProgram:
     )
 
 
-def cuboid_plan(instance: CuboidInstance, method: str = "implicit") -> SampleSizePlan:
-    """Sample sizes for the epigraph-form benchmark.
+def cuboid_plan(instance: CuboidInstance) -> SampleSizePlan:
+    """Implicit-bound sample sizes for the epigraph-form benchmark.
 
     Multi-stage: every coordinate stage has support rank 2 and receives an
     even share of the confidence budget.  Single-stage: the joint constraint
     is planned at the full search dimension 2n + 1 with level min(eps).
+    Each distinct (rank, eps, theta) is inverted once.
     """
-    if method != "implicit":
-        raise ValueError("the benchmark tables are defined for the implicit bound")
     if instance.mode == "multi-stage":
         thetas = split_confidence(instance.theta_total, instance.n)
-        entries = tuple(
-            StagePlan(
-                stage=i,
-                size=implicit_sample_size(2, instance.eps[i], thetas[i]),
-                discard=0, eps=instance.eps[i], theta=thetas[i],
-                zeta_bar=2, method="implicit",
-            )
-            for i in range(instance.n)
-        )
+        stages = [(2, eps, theta) for eps, theta in zip(instance.eps, thetas)]
     else:
-        zeta = 2 * instance.n + 1
-        eps = min(instance.eps)
-        entries = (
+        stages = [(instance.dim, min(instance.eps), instance.theta_total)]
+    sizes = {key: stage_sample_size(*key, 0, "implicit") for key in dict.fromkeys(stages)}
+    entries = []
+    for i, (zeta, eps, theta) in enumerate(stages):
+        size, used = sizes[zeta, eps, theta]
+        entries.append(
             StagePlan(
-                stage=0,
-                size=implicit_sample_size(zeta, eps, instance.theta_total),
-                discard=0, eps=eps, theta=instance.theta_total,
-                zeta_bar=zeta, method="implicit",
-            ),
+                stage=i, size=size, discard=0, eps=eps,
+                theta=theta, zeta_bar=zeta, method=used,
+            )
         )
-    return SampleSizePlan(stages=entries, theta_total=instance.theta_total)
+    return SampleSizePlan(stages=tuple(entries), theta_total=instance.theta_total)
+
+
+def _cell_sizes(eps: float, n: int, theta_total: float) -> tuple[int, int]:
+    """(k_multi, k_single) of the benchmark cell (eps, n), from ``cuboid_plan``."""
+    multi, single = (
+        cuboid_plan(CuboidInstance(n=n, eps=eps, theta_total=theta_total, mode=mode))
+        for mode in ("multi-stage", "single-stage")
+    )
+    return multi.stages[0].size, single.stages[0].size
 
 
 def _hull(values: np.ndarray) -> tuple[float, float]:
@@ -290,8 +295,7 @@ def run_table1(theta_total: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     single = np.zeros_like(multi)
     for r, eps in enumerate(TABLE_EPS):
         for c, n in enumerate(TABLE_N):
-            multi[r, c] = implicit_sample_size(2, eps, theta_total / n)
-            single[r, c] = implicit_sample_size(2 * n + 1, eps, theta_total)
+            multi[r, c], single[r, c] = _cell_sizes(eps, n, theta_total)
     return multi, single
 
 
@@ -316,44 +320,30 @@ def _cell_surplus(
     so the two modes are independent and results are identical for any thread
     count or block schedule.
     """
-    w_multi = np.empty(replications)
-    w_single = np.empty(replications)
+    sizes = (k_multi, k_single)
+    chunks = (_block_size(k_multi), _block_size(k_single))
+    diameters = np.empty((2, replications))
 
-    chunk_multi = _block_size(k_multi)
-    chunk_single = _block_size(k_single)
-
-    def run_multi(c: int) -> None:
-        start = c * chunk_multi
-        count = min(chunk_multi, replications - start)
-        widths = np.empty((count, n))
-        for i in range(n):
-            rng = derived_stream(seed, 0, cell_id, 0, i, c)
-            draws = rng.standard_normal((count, k_multi))
-            widths[:, i] = draws.max(axis=1) - draws.min(axis=1)
-        w_multi[start : start + count] = np.linalg.norm(widths, axis=1)
-
-    def run_single(c: int) -> None:
-        start = c * chunk_single
-        count = min(chunk_single, replications - start)
+    def run_block(mode: int, c: int) -> None:
+        start = c * chunks[mode]
+        count = min(chunks[mode], replications - start)
         squares = np.zeros(count)
         for i in range(n):
-            rng = derived_stream(seed, 0, cell_id, 1, i, c)
-            draws = rng.standard_normal((count, k_single))
+            rng = derived_stream(seed, 0, cell_id, mode, i, c)
+            draws = rng.standard_normal((count, sizes[mode]))
             span = draws.max(axis=1) - draws.min(axis=1)
             squares += span * span
-        w_single[start : start + count] = np.sqrt(squares)
+        diameters[mode, start : start + count] = np.sqrt(squares)
 
-    multi_blocks = (replications + chunk_multi - 1) // chunk_multi
-    single_blocks = (replications + chunk_single - 1) // chunk_single
-    jobs = [(run_multi, c) for c in range(multi_blocks)]
-    jobs += [(run_single, c) for c in range(single_blocks)]
-    if threads <= 1:
-        for fn, c in jobs:
-            fn(c)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda job: job[0](job[1]), jobs))
+    jobs = [
+        (mode, c)
+        for mode in (0, 1)
+        for c in range((replications + chunks[mode] - 1) // chunks[mode])
+    ]
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        list(pool.map(lambda job: run_block(*job), jobs))
 
+    w_multi, w_single = diameters
     ratio = (w_single - w_multi) / w_multi
     mean = float(ratio.mean())
     stderr = float(ratio.std(ddof=1) / math.sqrt(replications)) if replications > 1 else math.inf
@@ -390,7 +380,7 @@ def run_table2_cells(
 
     ``cells`` is a sequence of (eps, n) pairs.  Each cell draws
     ``replications`` independent runs of both modes at the sizes from
-    ``run_table1`` and averages the per-replication relative surplus; the
+    ``cuboid_plan`` and averages the per-replication relative surplus; the
     returned dict maps (eps, n) to (mean, standard error).  A cell's streams
     are keyed by its position in ``cells``.
     """
@@ -398,8 +388,7 @@ def run_table2_cells(
         raise ValueError("replications must be positive")
     result: dict[tuple[float, int], tuple[float, float]] = {}
     for cell_id, (eps, n) in enumerate(cells):
-        k_multi = implicit_sample_size(2, eps, theta_total / n)
-        k_single = implicit_sample_size(2 * n + 1, eps, theta_total)
+        k_multi, k_single = _cell_sizes(eps, n, theta_total)
         result[(eps, n)] = _cell_surplus(
             n, k_multi, k_single, replications, seed, cell_id, threads=threads
         )

@@ -35,7 +35,6 @@ ITERATION_LIMIT = "iteration-limit"
 _TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _FACE_TOL = 1e-10
-_SPAN_TOL = 1e-10
 _ITERATIONS_PER_SIZE = 200  # pivot budget per solve: this times (m + d + 10)
 
 
@@ -146,13 +145,13 @@ def solve_lp_lexicographic(
     Otherwise (a round-off-level basic dual, a flat optimal face, or a zero
     cost) coordinates x_1, x_2, ... are minimized in turn over the
     (tolerance-thickened) optimal face, one ``solve_lp`` call per coordinate
-    pass.  A coordinate is skipped only when it lies in the span of
-    the directions already pinned (the cost and the earlier coordinates).
-    That holds for exactly one coordinate, the last one on which the cost is
-    nonzero, so a nonzero cost takes up to d - 1 passes after the first solve
-    and a zero cost up to d.  Duals are taken from the initial solve; any
-    optimal dual pairs with any optimal primal point.  A solve or pass that
-    runs out of pivots returns ``iteration-limit``.
+    pass.  The last coordinate on which the cost is nonzero is skipped: the
+    cost pin and the earlier coordinates determine it.  So a nonzero cost
+    takes up to d - 1 passes after the first solve and a zero cost up to d.
+    The objective and the duals are those of the initial solve, which proved
+    the optimum; the passes move x only within the face tolerance of it, and
+    any optimal dual pairs with any optimal primal point.  A solve or pass
+    that runs out of pivots returns ``iteration-limit``.
     """
     cost = np.asarray(cost, dtype=float)
     rows_a = np.asarray(rows_a, dtype=float)
@@ -171,23 +170,20 @@ def solve_lp_lexicographic(
     x = first.x
     pins_a: list[np.ndarray] = []
     pins_b: list[float] = []
-    directions: list[np.ndarray] = []
+    skip = -1
 
     norm_c = np.linalg.norm(cost)
     if norm_c > 0.0:
-        obj0 = float(cost @ x)
+        obj0 = first.objective
         pins_a.append(cost / norm_c)
         pins_b.append((obj0 + _FACE_TOL * (1.0 + abs(obj0))) / norm_c)
-        directions.append(cost.copy())
+        skip = int(np.flatnonzero(cost)[-1])
 
     for j in range(d):
+        if j == skip:
+            continue
         ej = np.zeros(d)
         ej[j] = 1.0
-        if directions:
-            base = np.asarray(directions)
-            gamma, _, _, _ = np.linalg.lstsq(base.T, ej, rcond=None)
-            if np.linalg.norm(base.T @ gamma - ej) <= _SPAN_TOL:
-                continue  # linearly determined on the current face
         a_stage = np.vstack([rows_a] + [p[None, :] for p in pins_a])
         b_stage = np.concatenate([rows_b, np.asarray(pins_b)])
         res = solve_lp(ej, a_stage, b_stage)
@@ -201,6 +197,5 @@ def solve_lp_lexicographic(
         value = float(x[j])
         pins_a.append(ej)
         pins_b.append(value + _FACE_TOL * (1.0 + abs(value)))
-        directions.append(ej)
 
-    return LpSolution(status=OPTIMAL, x=x, objective=float(cost @ x), duals=first.duals)
+    return LpSolution(status=OPTIMAL, x=x, objective=first.objective, duals=first.duals)

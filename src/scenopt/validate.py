@@ -136,7 +136,7 @@ def violation_survey(
     violation = np.full((replications, n_stages), np.nan)
     objectives = np.full(replications, np.nan)
     feasible = np.zeros(replications, dtype=bool)
-    discards = plan.discards() if hasattr(plan, "discards") else (0,) * n_stages
+    discards = plan.discards()
 
     for rep in range(replications):
         rep_seed = _replication_seed(seed, rep)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from scenopt import bounds
+from scenopt.bounds import implicit_sample_size
 from scenopt.cuboid_bench import (
     TABLE_EPS,
     TABLE_N,
@@ -114,8 +116,28 @@ class TestPlans:
         assert plan.sizes() == (1734, 1734)
 
     def test_single_stage_plan(self):
-        plan = cuboid_plan(CuboidInstance(n=2, eps=0.01, mode="single-stage"))
+        instance = CuboidInstance(n=2, eps=0.01, mode="single-stage")
+        plan = cuboid_plan(instance)
         assert plan.sizes() == (2334,)
+        assert plan.stages[0].zeta_bar == instance.dim  # 2n + 1, the epigraph dimension
+
+    def test_mixed_eps_plan(self):
+        instance = CuboidInstance(n=3, eps=(0.01, 0.05, 0.01))
+        plan = cuboid_plan(instance)
+        assert plan.sizes() == (1777, 349, 1777)
+        assert plan.sizes() == tuple(implicit_sample_size(2, e, 1e-6 / 3) for e in instance.eps)
+
+    def test_one_inversion_per_distinct_stage(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return implicit_sample_size(*args)
+
+        monkeypatch.setattr(bounds, "implicit_sample_size", counting)
+        plan = cuboid_plan(CuboidInstance(n=500, eps=0.05))
+        assert len(plan.stages) == 500
+        assert calls == [(2, 0.05, 1e-6 / 500)]
 
 
 class TestTables:

@@ -128,6 +128,29 @@ class TestRemoveGreedy:
         assert result.removed == [[], [0]]
         assert result.objective_improvement == pytest.approx(0.0, abs=1e-12)
 
+    def test_binding_sample_with_small_multiplier_is_removed(self):
+        # the 296th program of a random-program sweep: sample 11 binds with
+        # multiplier ~1e-3, and a point left ~1e-6 off its row by the
+        # lexicographic face thickening would make it look slack, so greedy
+        # would drop a useless sample instead
+        rng = np.random.default_rng(12345)
+        for _ in range(296):
+            dim = rng.integers(2, 5)
+            n_stages = rng.integers(1, 3)
+            program = random_lp_program(rng, dim, n_stages)
+            sizes = rng.integers(6, 20, size=n_stages).tolist()
+            discards = rng.integers(0, 4, size=n_stages).tolist()
+            seed = int(rng.integers(2**31))
+        assert (dim, sizes, discards, seed) == (4, [12], [1], 1663769398)
+        ms = draw_multisample(program, sizes, seed)
+        base = solve(program, ms)
+        assert base.active == [[11]]
+        assert base.stage_duals[0][11] > 1e-3
+        result = remove_greedy(program, ms, discards)
+        assert result.removed == [[11]]
+        assert result.assumption_modes == ["violated-by-reduced"]
+        assert result.objective_improvement == pytest.approx(2.505e-4, rel=1e-3)
+
 
 class TestRemoveMarginal:
     def test_one_dimensional(self):

@@ -252,4 +252,5 @@ class TestCertifiedVertex:
         res = solve_lp_lexicographic(-np.ones(3), a, b)
         assert len(solve_lp_calls) == 3  # cost solve, then x_1 and x_2; x_3 is pinned
         assert res.x == pytest.approx([-1.0, 1.0, 1.0], abs=1e-9)
+        assert res.objective == pytest.approx(-1.0, abs=1e-12)  # the optimum, not the thickened face
         assert np.array_equal(res.duals, first.duals)

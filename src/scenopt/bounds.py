@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .probkernel import binomial_cdf, log_binomial_coefficient
+from .scenario_core import support_rank_linear
 
 __all__ = [
     "StagePlan",
@@ -288,7 +289,9 @@ def plan_multistage(
     """Build a per-stage sampling plan for a scenario program.
 
     Each stage gets its share of ``theta_total`` and its discard budget, and
-    ``stage_sample_size`` picks its bound from ``method``.
+    ``stage_sample_size`` picks its bound from ``method``.  A stage that
+    declares no ``zeta_bar`` is planned with the rank of its generator's row
+    directions (at least 1).
     """
     n_stages = len(program.stages)
     if n_stages == 0:
@@ -303,7 +306,7 @@ def plan_multistage(
     for i, stage in enumerate(program.stages):
         zeta_bar = stage.zeta_bar
         if zeta_bar is None:
-            raise ValueError(f"stage {i} carries no support-rank bound")
+            zeta_bar = max(1, support_rank_linear(stage.generator.rank_rows()))
         eps = stage.eps
         r = int(discards[i])
         size, used = stage_sample_size(zeta_bar, eps, thetas[i], r, method)

@@ -91,33 +91,31 @@ def remove_optimal(
         raise ValueError(f"{total} removal combinations exceed the guard {guard}")
 
     assembled = AssembledProgram(program, ms)
-    base = assembled.objective()
-    if base is None:
-        return _finish(program, ms, [], math.nan, assembled.to_solution(assembled.solve_lex()))
+    base = assembled.solve_lex()
+    if base.status != "optimal":
+        return _finish(program, ms, [], math.nan, assembled.to_solution(base))
 
-    best_obj = math.inf
-    best_drop: list[tuple[int, int]] = []
+    best, best_drop, best_obj = base, [], math.inf
     for combo in itertools.product(
         *[itertools.combinations(range(sizes[i]), budgets[i]) for i in range(len(sizes))]
     ):
         drop = [(i, kappa) for i in range(len(combo)) for kappa in combo[i]]
-        obj = assembled.objective(drop=drop)
-        if obj is None:
-            continue
-        if obj < best_obj - _OBJ_TIE_TOL * (1.0 + abs(obj)):
-            best_obj = obj
-            best_drop = drop
-    solution = assembled.to_solution(assembled.solve_lex(drop=best_drop))
-    return _finish(program, ms, best_drop, base, solution)
+        res = assembled.solve_lex(drop=drop)
+        obj = res.objective  # None unless optimal
+        if obj is not None and obj < best_obj - _OBJ_TIE_TOL * (1.0 + abs(obj)):
+            best, best_drop, best_obj = res, drop, obj
+    return _finish(program, ms, best_drop, base.objective, assembled.to_solution(best))
 
 
 def _remove_sequentially(program: ScenarioProgram, ms: MultiSample, discards, pick) -> RemovalResult:
     """Drop one sample at a time, as chosen by ``pick``, re-solving after each.
 
     ``pick(assembled, current, drop, candidates)`` returns one of the
-    candidates: the samples not yet dropped in stages with budget left, in
-    (stage, sample) order.  The loop ends when the budgets are used up or a
-    solve is not optimal; that solve's status is the result's status.
+    candidates (the samples not yet dropped in stages with budget left, in
+    (stage, sample) order) and its solve of the program without it, or None
+    when it made none; only then does the loop re-solve.  The loop ends when
+    the budgets are used up or a solve is not optimal; that solve's status
+    is the result's status.
     """
     budgets = _budgets(program, ms, discards)
     sizes = ms.sizes()
@@ -131,35 +129,41 @@ def _remove_sequentially(program: ScenarioProgram, ms: MultiSample, discards, pi
             (i, kappa) for i in range(program.n_stages) if budgets[i] > 0
             for kappa in range(sizes[i]) if (i, kappa) not in dropped
         ]
-        chosen = pick(assembled, current, drop, candidates)
+        chosen, res = pick(assembled, current, drop, candidates)
         drop.append(chosen)
         dropped.add(chosen)
         budgets[chosen[0]] -= 1
-        current = assembled.to_solution(assembled.solve_lex(drop=drop))
+        if res is None:
+            res = assembled.solve_lex(drop=drop)
+        current = assembled.to_solution(res)
     return _finish(program, ms, drop, base, current)
 
 
 def _lowest_objective(assembled, current, drop, candidates):
-    """The candidate whose removal lowers the re-solved objective the most.
+    """The candidate whose removal lowers the re-solved objective the most,
+    with that re-solve.
 
     Only active candidates are re-solved: a slack one cannot move the
-    optimizer, so it ties at the current objective.  Ties go to the first.
+    optimizer, so it ties at the current objective and comes back without a
+    solve.  Ties go to the first.
     """
     active = [set(a) for a in current.active]
     best_obj = math.inf
-    best = candidates[0]
+    best, best_res = candidates[0], None
     for i, kappa in candidates:
-        obj = current.objective
+        obj, res = current.objective, None
         if kappa in active[i]:
-            obj = assembled.objective(drop=drop + [(i, kappa)])
+            res = assembled.solve_lex(drop=drop + [(i, kappa)])
+            obj = res.objective  # None unless optimal
         if obj is not None and obj < best_obj - _OBJ_TIE_TOL * (1.0 + abs(obj)):
             best_obj = obj
-            best = (i, kappa)
-    return best
+            best, best_res = (i, kappa), res
+    return best, best_res
 
 
 def _largest_multiplier(assembled, current, drop, candidates):
-    """The candidate with the largest sample-aggregated multiplier.
+    """The candidate with the largest sample-aggregated multiplier, returned
+    without a solve.
 
     When every multiplier is numerically zero the choice falls to
     ``_lowest_objective`` over the active candidates; when nothing is active,
@@ -168,9 +172,10 @@ def _largest_multiplier(assembled, current, drop, candidates):
     mults = np.array([current.stage_duals[i][kappa] for i, kappa in candidates])
     top = float(mults.max())
     if top > 1e-9:
-        return next(c for c, mult in zip(candidates, mults) if mult >= top - 1e-9 * (1.0 + top))
+        chosen = next(c for c, mult in zip(candidates, mults) if mult >= top - 1e-9 * (1.0 + top))
+        return chosen, None
     active = [(i, kappa) for i, kappa in candidates if kappa in current.active[i]]
-    return _lowest_objective(assembled, current, drop, active) if active else candidates[0]
+    return _lowest_objective(assembled, current, drop, active) if active else (candidates[0], None)
 
 
 def remove_greedy(program: ScenarioProgram, ms: MultiSample, discards) -> RemovalResult:

@@ -55,18 +55,6 @@ class LinearRowsGenerator:
         if self.b_delta is not None:
             self.b_delta = np.atleast_2d(np.asarray(self.b_delta, dtype=float))
 
-    @property
-    def delta_dim(self) -> int:
-        if self.a_delta is not None:
-            return self.a_delta.shape[1]
-        if self.b_delta is not None:
-            return self.b_delta.shape[1]
-        return 1
-
-    @property
-    def rows_per_sample(self) -> int:
-        return self.a0.shape[0]
-
     def rows(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, b = self.rows_batch(np.atleast_1d(np.asarray(delta, dtype=float))[None, :])
         return a[0], b[0]
@@ -101,14 +89,6 @@ class CuboidCoordinateGenerator:
 
     coordinate: int
     n: int
-
-    @property
-    def delta_dim(self) -> int:
-        return 1
-
-    @property
-    def rows_per_sample(self) -> int:
-        return 2
 
     def rows(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, b = self.rows_batch(np.atleast_1d(np.asarray(delta, dtype=float))[None, :])

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .lp import solve_lp, solve_lp_lexicographic
+from .lp import solve_lp_lexicographic
 from .program import MultiSample, ScenarioProgram, Solution
 
 __all__ = [
@@ -117,43 +117,27 @@ class AssembledProgram:
         self.n_fixed = 2 * d + (0 if program.det_a is None else program.det_a.shape[0])
 
         self.sizes = ms.sizes()
-        self.rows_per_sample: list[int] = []
-        self.stage_row_start: list[int] = []
-        offset = self.n_fixed
+        self.stage_uid_base = np.concatenate([[0], np.cumsum(self.sizes)])[:-1]
+        uid_parts = [np.full(self.n_fixed, -1)]
         for i, stage in enumerate(program.stages):
             a_i, b_i = stage.generator.rows_batch(ms.outcomes[i])
             k_i, r_i = b_i.shape
             blocks_a.append(a_i.reshape(k_i * r_i, d))
             blocks_b.append(b_i.reshape(-1))
-            self.rows_per_sample.append(r_i)
-            self.stage_row_start.append(offset)
-            offset += k_i * r_i
+            uid_parts.append(np.repeat(np.arange(k_i) + self.stage_uid_base[i], r_i))
         self.a = np.vstack(blocks_a)
         self.b = np.concatenate(blocks_b)
-
-        # Flat sample uid per sampled row, for vectorized aggregation.
-        self.stage_uid_base = np.concatenate([[0], np.cumsum(self.sizes)])[:-1]
-        uid_parts = [
-            np.repeat(np.arange(self.sizes[i]) + self.stage_uid_base[i], self.rows_per_sample[i])
-            for i in range(program.n_stages)
-        ]
-        self.sampled_uid = (
-            np.concatenate(uid_parts) if uid_parts else np.zeros(0, dtype=int)
-        )
+        # Sample id of each row, stage_uid_base[i] + kappa; -1 on the box
+        # and deterministic rows, which no removal touches.
+        self.uid = np.concatenate(uid_parts)
         self.total_samples = int(sum(self.sizes))
 
-    def sample_rows(self, stage: int, kappa: int) -> np.ndarray:
-        r = self.rows_per_sample[stage]
-        start = self.stage_row_start[stage] + kappa * r
-        return np.arange(start, start + r)
-
     def _mask(self, drop) -> np.ndarray:
-        mask = np.ones(self.b.shape[0], dtype=bool)
-        for i, kappa in drop:
-            r = self.rows_per_sample[i]
-            start = self.stage_row_start[i] + kappa * r
-            mask[start : start + r] = False
-        return mask
+        # A lookup table over the sample ids; uid -1 reads the spare last
+        # slot, which stays False.  (np.isin costs 5x as much per call.)
+        dropped = np.zeros(self.total_samples + 1, dtype=bool)
+        dropped[[self.stage_uid_base[i] + kappa for i, kappa in drop]] = True
+        return ~dropped[self.uid]
 
     def solve_lex(self, drop=()):
         mask = self._mask(drop)
@@ -163,11 +147,6 @@ class AssembledProgram:
             duals[mask] = res.duals
             res.duals = duals
         return res
-
-    def objective(self, drop=()) -> float | None:
-        mask = self._mask(drop)
-        res = solve_lp(self.program.cost, self.a[mask], self.b[mask])
-        return None if res.status != "optimal" else res.objective
 
     def to_solution(self, res) -> Solution:
         if res.status != "optimal":
@@ -179,14 +158,11 @@ class AssembledProgram:
             )
         x = res.x
         sampled = slice(self.n_fixed, None)
+        uid = self.uid[sampled]
         residual = self.a[sampled] @ x - self.b[sampled]
         tight_rows = residual >= -1e-7 * (1.0 + np.abs(self.b[sampled]))
-        tight_counts = np.bincount(
-            self.sampled_uid[tight_rows], minlength=self.total_samples
-        )
-        dual_agg = np.bincount(
-            self.sampled_uid, weights=res.duals[sampled], minlength=self.total_samples
-        )
+        tight_counts = np.bincount(uid[tight_rows], minlength=self.total_samples)
+        dual_agg = np.bincount(uid, weights=res.duals[sampled], minlength=self.total_samples)
         active: list[list[int]] = []
         stage_duals: list[np.ndarray] = []
         for i in range(self.program.n_stages):

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +21,11 @@ from scenopt.bounds import (
 )
 from scenopt.probkernel import binomial_cdf, binomial_tail_leq_exact
 from scenopt.cuboid_bench import CuboidInstance, cuboid_program
+from scenopt.program import program_from_json
 
 from conftest import random_lp_program
+
+SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 
 class TestSplitConfidence:
@@ -248,6 +253,16 @@ class TestPlanMultistage:
         program = random_lp_program(np.random.default_rng(4), dim=2, n_stages=1)
         plan = plan_multistage(program, 1e-4, method="chernoff", discards=(2,))
         assert plan.stages[0].method == "explicit-discard"
+
+    @pytest.mark.parametrize("spec, rank", [("order_stats_1d", 1), ("cuboid_n2", 2)])
+    def test_undeclared_rank_comes_from_the_generator(self, spec, rank):
+        doc = json.loads((SPEC_DIR / f"{spec}.json").read_text())
+        declared = plan_multistage(program_from_json(doc), 1e-6, discards=(1,) * len(doc["stages"]))
+        for node in doc["stages"]:
+            assert node.pop("zeta_bar") == rank
+        derived = plan_multistage(program_from_json(doc), 1e-6, discards=(1,) * len(doc["stages"]))
+        assert all(entry.zeta_bar == rank for entry in derived.stages)
+        assert derived == declared
 
     def test_plan_invariants_enforced(self):
         with pytest.raises(ValueError):

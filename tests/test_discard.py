@@ -1,9 +1,11 @@
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from scenopt import lp
 from scenopt.discard import (
     RemovalResult,
     check_discard_assumption,
@@ -192,6 +194,33 @@ class TestRemoveMarginal:
                 wins += 1
         assert total > 0
         assert wins / total >= 0.95
+
+
+@pytest.fixture
+def simplex_runs(monkeypatch):
+    """Counts dual-simplex runs: every LP solve goes through one."""
+    runs = []
+    original = lp._dual_form_simplex
+
+    def counted(*args):
+        runs.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lp, "_dual_form_simplex", counted)
+    return runs
+
+
+class TestSolveCounts:
+    def test_greedy_reuses_the_chosen_candidates_solve(self, simplex_runs):
+        # one active candidate per step, so the base solve plus one per removal
+        result = remove_greedy(order_stats_program(), fixed_1d([0.9, 0.8, 0.5, 0.3]), [2])
+        assert result.removed == [[0, 1]]
+        assert len(simplex_runs) == 1 + 2
+
+    def test_optimal_keeps_the_best_solve(self, simplex_runs):
+        result = remove_optimal(order_stats_program(), fixed_1d([0.9, 0.8, 0.5, 0.3]), [2])
+        assert result.removed == [[0, 1]]
+        assert len(simplex_runs) == 1 + math.comb(4, 2)
 
 
 @pytest.mark.parametrize("algorithm", [remove_optimal, remove_greedy, remove_marginal])

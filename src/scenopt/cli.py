@@ -2,8 +2,12 @@
 
 Subcommands: samplesize, plan, solve, validate, cuboid.  All randomness flows
 from --seed through named streams, so identical invocations produce identical
-bytes.  Exit codes: 0 success, 2 usage/schema errors, 3 infeasible program,
-4 simplex iteration limit.
+bytes.  The options that plan, solve and validate share are declared once
+below; ``_plan`` loads and plans a spec for all three, and ``_write_manifest``
+writes the manifest of every command that writes files.  Exit codes: 0
+success, 2 usage/schema errors (flag ranges, spec schema defects, and --R
+without --discard in solve and validate), 3 infeasible program, 4 simplex
+iteration limit.
 """
 
 from __future__ import annotations
@@ -26,6 +30,33 @@ from .scenario_core import draw_multisample, solve, support_set
 from .validate import estimate_violation, violation_survey
 
 _ALGORITHMS = {"greedy": remove_greedy, "marginal": remove_marginal, "optimal": remove_optimal}
+_MANIFEST = "manifest.json"
+
+_spec_option = click.option("--spec", "spec_path", required=True, type=click.Path())
+_seed_option = click.option("--seed", type=int, default=0, show_default=True)
+_theta_option = click.option("--theta", type=float, default=1e-6, show_default=True)
+_alpha_option = click.option("--alpha", type=float, default=0.05, show_default=True)
+_method_option = click.option(
+    "--method",
+    type=click.Choice(["implicit", "chernoff", "refined"]),
+    default="implicit",
+    show_default=True,
+)
+_discard_option = click.option(
+    "--discard",
+    "algorithm",
+    type=click.Choice(["none", *_ALGORITHMS]),
+    default="none",
+    show_default=True,
+    help="Removal algorithm for sampling-and-discarding.",
+)
+_removals_option = click.option(
+    "--R", "discard_text", default=None, help="Per-stage removal counts, e.g. '5,0'."
+)
+_recorded_threads_option = click.option(
+    "--threads", type=int, default=1, show_default=True,
+    help="Recorded in the manifest only; the command runs serially.",
+)
 
 
 @dataclass
@@ -48,24 +79,27 @@ def _require_optimal(solution) -> None:
         sys.exit(3)
 
 
-def _write_manifest(out_dir: str, manifest: RunManifest) -> str:
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as handle:
+def _write_manifest(
+    out_dir: str, command: str, params: dict, seed: int | None, outputs: list[str],
+    started: float,
+) -> None:
+    """Write the run's manifest.json, timed from ``started`` (time.monotonic)."""
+    manifest = RunManifest(
+        command=command, params=params, seed=seed, version=__version__, outputs=outputs,
+        wall_clock_s=time.monotonic() - started,
+    )
+    with open(os.path.join(out_dir, _MANIFEST), "w") as handle:
         json.dump(asdict(manifest), handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def _write_csv(path: str, lines: list[str]) -> str:
+    """Write CSV lines below a comment naming the manifest beside them."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as handle:
+        handle.write(f"# manifest: {_MANIFEST}\n")
+        handle.write("\n".join(lines) + "\n")
     return path
-
-
-def _load_program(spec_path: str):
-    try:
-        with open(spec_path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read program spec {spec_path}: {exc}")
-    try:
-        return program_from_json(doc)
-    except ValueError as exc:
-        raise click.UsageError(f"invalid program spec: {exc}")
 
 
 def _parse_discards(text: str | None, n_stages: int) -> tuple[int, ...]:
@@ -83,6 +117,38 @@ def _parse_discards(text: str | None, n_stages: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _plan(spec_path: str, theta: float, method: str, discard_text: str | None):
+    """(program, discards, plan) of a spec; any defect is a usage error."""
+    try:
+        with open(spec_path) as handle:
+            doc = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"cannot read program spec {spec_path}: {exc}")
+    try:
+        program = program_from_json(doc)
+    except ValueError as exc:
+        raise click.UsageError(f"invalid program spec: {exc}")
+    discards = _parse_discards(discard_text, program.n_stages)
+    try:
+        plan = plan_multistage(program, theta, method=method, discards=discards)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    return program, discards, plan
+
+
+def _check_runnable(program, algorithm: str, discards: tuple[int, ...]) -> None:
+    """Drawing needs a sampler on every stage, and --R needs --discard."""
+    if algorithm == "none" and any(discards):
+        raise click.UsageError("--R requires a removal algorithm via --discard")
+    for i, stage in enumerate(program.stages):
+        if stage.sampler is None:
+            raise click.UsageError(f"stage {i} has no sampler configured")
+
+
+def _plan_doc(plan) -> dict:
+    return {"theta_total": plan.theta_total, "stages": [asdict(entry) for entry in plan.stages]}
+
+
 @click.group()
 @click.version_option(version=__version__)
 def main() -> None:
@@ -94,12 +160,7 @@ def main() -> None:
 @click.option("--eps", type=float, required=True, help="Violation level in (0, 1).")
 @click.option("--theta", type=float, required=True, help="Confidence budget in (0, 1).")
 @click.option("--discard", type=int, default=0, show_default=True, help="Ex-post removal budget.")
-@click.option(
-    "--method",
-    type=click.Choice(["implicit", "chernoff", "refined"]),
-    default="implicit",
-    show_default=True,
-)
+@_method_option
 def cmd_samplesize(zeta: int, eps: float, theta: float, discard: int, method: str) -> None:
     """Print the planned sample size and the tail bound it achieves."""
     try:
@@ -112,87 +173,38 @@ def cmd_samplesize(zeta: int, eps: float, theta: float, discard: int, method: st
 
 
 @main.command("plan")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--theta", type=float, default=1e-6, show_default=True)
-@click.option(
-    "--method",
-    type=click.Choice(["implicit", "chernoff", "refined"]),
-    default="implicit",
-    show_default=True,
-)
-@click.option("--R", "discard_text", default=None, help="Per-stage removal counts, e.g. '5,0'.")
+@_spec_option
+@_theta_option
+@_method_option
+@_removals_option
 def cmd_plan(spec_path: str, theta: float, method: str, discard_text: str | None) -> None:
     """Print the per-stage sampling plan for a program spec."""
-    program = _load_program(spec_path)
-    discards = _parse_discards(discard_text, program.n_stages)
-    try:
-        plan = plan_multistage(program, theta, method=method, discards=discards)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    doc = {
-        "theta_total": plan.theta_total,
-        "stages": [asdict(entry) for entry in plan.stages],
-    }
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    _, _, plan = _plan(spec_path, theta, method, discard_text)
+    click.echo(json.dumps(_plan_doc(plan), indent=2, sort_keys=True))
 
 
 @main.command("solve")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--theta", type=float, default=1e-6, show_default=True)
-@click.option(
-    "--method",
-    type=click.Choice(["implicit", "chernoff", "refined"]),
-    default="implicit",
-    show_default=True,
-)
-@click.option(
-    "--discard",
-    "algorithm",
-    type=click.Choice(["none", "greedy", "marginal", "optimal"]),
-    default="none",
-    show_default=True,
-    help="Removal algorithm for sampling-and-discarding.",
-)
-@click.option("--R", "discard_text", default=None, help="Per-stage removal counts, e.g. '5,0'.")
+@_spec_option
+@_seed_option
+@_theta_option
+@_method_option
+@_discard_option
+@_removals_option
 @click.option("--validate", "n_val", type=int, default=0, help="Validation draws per stage.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@_alpha_option
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Write outputs here.")
-@click.option(
-    "--threads", type=int, default=1, show_default=True,
-    help="Recorded in the manifest only; the solve runs serially.",
-)
+@_recorded_threads_option
 def cmd_solve(
-    spec_path: str,
-    seed: int,
-    theta: float,
-    method: str,
-    algorithm: str,
-    discard_text: str | None,
-    n_val: int,
-    alpha: float,
-    out_dir: str | None,
-    threads: int,
+    spec_path: str, seed: int, theta: float, method: str, algorithm: str,
+    discard_text: str | None, n_val: int, alpha: float, out_dir: str | None, threads: int,
 ) -> None:
     """Plan, draw, solve, optionally discard and validate, then emit JSON."""
     started = time.monotonic()
-    program = _load_program(spec_path)
-    discards = _parse_discards(discard_text, program.n_stages)
-    if algorithm == "none" and any(discards):
-        raise click.UsageError("--R requires a removal algorithm via --discard")
-    try:
-        plan = plan_multistage(program, theta, method=method, discards=discards)
-        ms = draw_multisample(program, plan, seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    program, discards, plan = _plan(spec_path, theta, method, discard_text)
+    _check_runnable(program, algorithm, discards)
+    ms = draw_multisample(program, plan, seed)
 
-    doc: dict = {
-        "seed": seed,
-        "plan": {
-            "theta_total": plan.theta_total,
-            "stages": [asdict(entry) for entry in plan.stages],
-        },
-    }
+    doc: dict = {"seed": seed, "plan": _plan_doc(plan)}
     if algorithm == "none":
         solution = solve(program, ms)
         _require_optimal(solution)
@@ -208,85 +220,48 @@ def cmd_solve(
         doc["assumption_modes"] = result.assumption_modes
 
     if n_val > 0:
-        reports = []
-        for stage in program.stages:
-            est = estimate_violation(np.asarray(doc["x"]), stage, n_val, alpha, seed)
-            reports.append(asdict(est))
-        doc["validation"] = reports
+        doc["validation"] = [
+            asdict(estimate_violation(np.asarray(doc["x"]), stage, n_val, alpha, seed))
+            for stage in program.stages
+        ]
 
+    if out_dir:
+        doc["manifest"] = os.path.join(out_dir, _MANIFEST)
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         solution_path = os.path.join(out_dir, "solution.json")
-        manifest = RunManifest(
-            command="solve",
-            params={
-                "spec": spec_path, "theta": theta, "method": method,
-                "discard_algorithm": algorithm, "discards": list(discards),
-                "validate": n_val, "alpha": alpha, "threads": threads,
-            },
-            seed=seed,
-            version=__version__,
-            outputs=[solution_path],
-        )
-        doc["manifest"] = os.path.join(out_dir, "manifest.json")
-        payload = json.dumps(doc, indent=2, sort_keys=True)
         with open(solution_path, "w") as handle:
-            handle.write(payload)
-            handle.write("\n")
-        manifest.wall_clock_s = time.monotonic() - started
-        _write_manifest(out_dir, manifest)
+            handle.write(payload + "\n")
+        params = {
+            "spec": spec_path, "theta": theta, "method": method,
+            "discard_algorithm": algorithm, "discards": list(discards),
+            "validate": n_val, "alpha": alpha, "threads": threads,
+        }
+        _write_manifest(out_dir, "solve", params, seed, [solution_path], started)
     click.echo(payload)
 
 
 @main.command("validate")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--reps", type=int, default=100, show_default=True)
-@click.option("--nval", type=int, default=10_000, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--theta", type=float, default=1e-6, show_default=True)
-@click.option(
-    "--method",
-    type=click.Choice(["implicit", "chernoff", "refined"]),
-    default="implicit",
-    show_default=True,
-)
-@click.option(
-    "--discard",
-    "algorithm",
-    type=click.Choice(["none", "greedy", "marginal", "optimal"]),
-    default="none",
-    show_default=True,
-    help="Removal algorithm for sampling-and-discarding.",
-)
-@click.option("--R", "discard_text", default=None, help="Per-stage removal counts.")
+@_spec_option
+@_seed_option
+@click.option("--reps", type=click.IntRange(min=0), default=100, show_default=True)
+@click.option("--nval", type=click.IntRange(min=1), default=10_000, show_default=True)
+@_alpha_option
+@_theta_option
+@_method_option
+@_discard_option
+@_removals_option
 @click.option("--out", "out_path", type=click.Path(), default=None, help="CSV destination.")
-@click.option(
-    "--threads", type=int, default=1, show_default=True,
-    help="Recorded in the manifest only; the survey runs serially.",
-)
+@_recorded_threads_option
 def cmd_validate(
-    spec_path: str,
-    seed: int,
-    reps: int,
-    nval: int,
-    alpha: float,
-    theta: float,
-    method: str,
-    algorithm: str,
-    discard_text: str | None,
-    out_path: str | None,
-    threads: int,
+    spec_path: str, seed: int, reps: int, nval: int, alpha: float, theta: float, method: str,
+    algorithm: str, discard_text: str | None, out_path: str | None, threads: int,
 ) -> None:
     """Replicated violation survey; CSV rows (replication, stage, violation, exceeds)."""
     started = time.monotonic()
-    program = _load_program(spec_path)
-    discards = _parse_discards(discard_text, program.n_stages)
-    try:
-        plan = plan_multistage(program, theta, method=method, discards=discards)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    program, discards, plan = _plan(spec_path, theta, method, discard_text)
+    _check_runnable(program, algorithm, discards)
     survey = violation_survey(
         program, plan, reps, seed=seed,
         discard_algorithm=None if algorithm == "none" else _ALGORITHMS[algorithm],
@@ -300,28 +275,17 @@ def cmd_validate(
                 lines.append(f"{rep},{i},nan,")
             else:
                 lines.append(f"{rep},{i},{v:.10g},{int(v > stage.eps)}")
-    body = "\n".join(lines) + "\n"
-    if out_path:
-        out_dir = os.path.dirname(out_path) or "."
-        os.makedirs(out_dir, exist_ok=True)
-        manifest = RunManifest(
-            command="validate",
-            params={
-                "spec": spec_path, "reps": reps, "nval": nval, "alpha": alpha,
-                "theta": theta, "method": method, "discard_algorithm": algorithm,
-                "discards": list(discards), "threads": threads,
-            },
-            seed=seed,
-            version=__version__,
-            outputs=[out_path],
-        )
-        manifest.wall_clock_s = time.monotonic() - started
-        manifest_path = _write_manifest(out_dir, manifest)
-        with open(out_path, "w") as handle:
-            handle.write(f"# manifest: {os.path.basename(manifest_path)}\n")
-            handle.write(body)
-    else:
-        click.echo(body, nl=False)
+    if not out_path:
+        click.echo("\n".join(lines) + "\n", nl=False)
+        return
+    _write_csv(out_path, lines)
+    params = {
+        "spec": spec_path, "reps": reps, "nval": nval, "alpha": alpha,
+        "theta": theta, "method": method, "discard_algorithm": algorithm,
+        "discards": list(discards), "threads": threads,
+    }
+    out_dir = os.path.dirname(out_path) or "."
+    _write_manifest(out_dir, "validate", params, seed, [out_path], started)
 
 
 @main.group("cuboid")
@@ -330,30 +294,22 @@ def cmd_cuboid() -> None:
 
 
 @cmd_cuboid.command("table1")
-@click.option("--theta", type=float, default=1e-6, show_default=True)
+@_theta_option
 @click.option("--out-dir", type=click.Path(), default=".", show_default=True)
 def cmd_table1(theta: float, out_dir: str) -> None:
     """Write the sample-size grids (multi- and single-stage) as CSV."""
     started = time.monotonic()
     multi, single = run_table1(theta)
-    os.makedirs(out_dir, exist_ok=True)
     header = "eps_percent," + ",".join(str(n) for n in TABLE_N)
     outputs = []
     for name, table in (("table1_multi.csv", multi), ("table1_single.csv", single)):
-        path = os.path.join(out_dir, name)
-        rows = [header]
-        for r, eps in enumerate(TABLE_EPS):
-            rows.append(f"{eps * 100:g}," + ",".join(str(int(v)) for v in table[r]))
-        with open(path, "w") as handle:
-            handle.write("# manifest: manifest.json\n")
-            handle.write("\n".join(rows) + "\n")
-        outputs.append(path)
-        click.echo(path)
-    manifest = RunManifest(
-        command="cuboid table1", params={"theta": theta}, seed=None,
-        version=__version__, outputs=outputs, wall_clock_s=time.monotonic() - started,
-    )
-    _write_manifest(out_dir, manifest)
+        rows = [header] + [
+            f"{eps * 100:g}," + ",".join(str(int(v)) for v in table[r])
+            for r, eps in enumerate(TABLE_EPS)
+        ]
+        outputs.append(_write_csv(os.path.join(out_dir, name), rows))
+        click.echo(outputs[-1])
+    _write_manifest(out_dir, "cuboid table1", {"theta": theta}, None, outputs, started)
 
 
 def _parse_cells(text: str) -> list[tuple[float, int]]:
@@ -376,10 +332,10 @@ def _parse_cells(text: str) -> list[tuple[float, int]]:
 
 
 @cmd_cuboid.command("table2")
-@click.option("--reps", type=int, default=10_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=10_000, show_default=True)
+@_seed_option
 @click.option("--cells", default="all", show_default=True, help="'all' or 'eps%:n' pairs.")
-@click.option("--theta", type=float, default=1e-6, show_default=True)
+@_theta_option
 @click.option("--out", "out_path", type=click.Path(), default="table2.csv", show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
 def cmd_table2(
@@ -396,19 +352,10 @@ def cmd_table2(
     for eps, n in named:
         mean, stderr = table[(eps, n)]
         lines.append(f"{eps * 100:g},{n},{mean:.6f},{stderr:.6f},{reps}")
+    _write_csv(out_path, lines)
+    params = {"reps": reps, "cells": cells, "theta": theta, "threads": threads}
     out_dir = os.path.dirname(out_path) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out_path, "w") as handle:
-        handle.write("# manifest: manifest.json\n")
-        handle.write("\n".join(lines) + "\n")
-    manifest = RunManifest(
-        command="cuboid table2",
-        params={"reps": reps, "cells": cells, "theta": theta,
-                "threads": threads},
-        seed=seed, version=__version__, outputs=[out_path],
-        wall_clock_s=time.monotonic() - started,
-    )
-    _write_manifest(out_dir, manifest)
+    _write_manifest(out_dir, "cuboid table2", params, seed, [out_path], started)
     click.echo(out_path)
 
 

@@ -70,7 +70,6 @@ class CuboidInstance:
     eps: float | tuple[float, ...]
     theta_total: float = 1e-6
     mode: str = "multi-stage"
-    sampler: object | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -119,51 +118,43 @@ def cuboid_program(instance: CuboidInstance) -> ScenarioProgram:
 
     Width minimization decouples per coordinate, so the optimizer coincides
     with the minimal-diagonal solution; the epigraph variable W = ||w||_2 is
-    recovered afterwards.  Exact violation oracles are attached when the
-    sampler is the default standard normal.
+    recovered afterwards.  Outcomes are standard normal, and every stage
+    carries its exact violation oracle.
     """
     n = instance.n
     d = 2 * n
     cost = np.concatenate([np.zeros(n), np.ones(n)])
     lower = np.concatenate([np.full(n, -_BOX_Z), np.zeros(n)])
     upper = np.concatenate([np.full(n, _BOX_Z), np.full(n, _BOX_W)])
-    default_normal = instance.sampler is None
-    stages: list[StageSpec] = []
+    coordinates = [CuboidCoordinateGenerator(coordinate=i, n=n) for i in range(n)]
     if instance.mode == "multi-stage":
-        for i in range(n):
-            sampler = NormalSampler(dim=1) if default_normal else instance.sampler
-            stages.append(
-                StageSpec(
-                    eps=instance.eps[i],
-                    generator=CuboidCoordinateGenerator(coordinate=i, n=n),
-                    sampler=sampler,
-                    zeta_bar=2,
-                    monotone=False,
-                    violation_exact=_multi_violation(i, n) if default_normal else None,
-                )
+        stages = [
+            StageSpec(
+                eps=instance.eps[i],
+                generator=generator,
+                sampler=NormalSampler(dim=1),
+                zeta_bar=2,
+                monotone=False,
+                violation_exact=_multi_violation(i, n),
             )
+            for i, generator in enumerate(coordinates)
+        ]
     else:
-        a0 = np.zeros((2 * n, d))
-        b_delta = np.zeros((2 * n, n))
-        for i in range(n):
-            a0[2 * i, i] = 1.0
-            a0[2 * i, n + i] = -0.5
-            b_delta[2 * i, i] = 1.0
-            a0[2 * i + 1, i] = -1.0
-            a0[2 * i + 1, n + i] = -0.5
-            b_delta[2 * i + 1, i] = -1.0
-        generator = LinearRowsGenerator(a0=a0, b0=np.zeros(2 * n), b_delta=b_delta)
-        sampler = NormalSampler(dim=n) if default_normal else instance.sampler
-        stages.append(
+        generator = LinearRowsGenerator(
+            a0=np.vstack([g.rank_rows() for g in coordinates]),
+            b0=np.zeros(2 * n),
+            b_delta=np.kron(np.eye(n), [[1.0], [-1.0]]),
+        )
+        stages = [
             StageSpec(
                 eps=min(instance.eps),
                 generator=generator,
-                sampler=sampler,
+                sampler=NormalSampler(dim=n),
                 zeta_bar=d,
                 monotone=False,
-                violation_exact=_single_violation(n) if default_normal else None,
+                violation_exact=_single_violation(n),
             )
-        )
+        ]
     return ScenarioProgram(
         dim=d, cost=cost, box_lower=lower, box_upper=upper, stages=stages
     )

@@ -218,13 +218,8 @@ def check_discard_assumption(
         if not removed:
             modes.append("none")
             continue
-        all_violated = True
-        for kappa in removed:
-            a, b = stage.generator.rows(ms.outcomes[i][kappa])
-            if not float(np.max(a @ x - b)) > _VIOLATION_MARGIN:
-                all_violated = False
-                break
-        if all_violated:
+        a, b = stage.generator.rows_batch(ms.outcomes[i][removed])
+        if np.all((a @ x - b).max(axis=1) > _VIOLATION_MARGIN):
             modes.append("violated-by-reduced")
         elif stage.monotone:
             modes.append("monotone-declared")

@@ -108,13 +108,8 @@ class CuboidCoordinateGenerator:
         return a, b
 
     def rank_rows(self) -> np.ndarray:
-        d = 2 * self.n
-        rows = np.zeros((2, d))
-        rows[0, self.coordinate] = 1.0
-        rows[0, self.n + self.coordinate] = -0.5
-        rows[1, self.coordinate] = -1.0
-        rows[1, self.n + self.coordinate] = -0.5
-        return rows
+        """The coordinate's row pair; its coefficients do not depend on delta."""
+        return self.rows_batch(np.zeros(1))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +299,26 @@ def _generator_from_json(node: dict, dim: int):
     if kind == "cuboid":
         if dim % 2 != 0:
             raise ValueError("cuboid stages expect the (z, w) layout with an even dimension")
-        return CuboidCoordinateGenerator(coordinate=int(node["coordinate"]), n=dim // 2)
+        coordinate = int(node["coordinate"])
+        if not 0 <= coordinate < dim // 2:
+            raise ValueError(f"cuboid coordinate must lie in [0, {dim // 2}), got {coordinate}")
+        return CuboidCoordinateGenerator(coordinate=coordinate, n=dim // 2)
     raise ValueError(f"unknown generator type {kind!r}")
 
 
 def program_from_json(doc: dict) -> ScenarioProgram:
     """Build a program from its JSON document; raises ValueError on schema errors."""
     try:
-        dim = int(doc["dimension"])
-        cost = np.asarray(doc["cost"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        return _program_from_json(doc)
+    except KeyError as exc:
         raise ValueError(f"program document missing required field: {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"program document has a malformed field: {exc}") from exc
+
+
+def _program_from_json(doc: dict) -> ScenarioProgram:
+    dim = int(doc["dimension"])
+    cost = np.asarray(doc["cost"], dtype=float)
     box = doc.get("box", {})
     lower = np.asarray(box.get("lower", [-_BIG_BOX] * dim), dtype=float)
     upper = np.asarray(box.get("upper", [_BIG_BOX] * dim), dtype=float)

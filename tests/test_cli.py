@@ -16,6 +16,7 @@ from conftest import random_lp_program
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 CUBOID = str(SPEC_DIR / "cuboid_n2.json")
 ORDER_STATS = str(SPEC_DIR / "order_stats_1d.json")
+NO_SAMPLER = "<order_stats_1d without its sampler>"
 
 
 @pytest.fixture
@@ -99,6 +100,24 @@ class TestPlan:
         assert result.exit_code == 2
         missing = runner.invoke(main, ["plan", "--spec", str(tmp_path / "nope.json")])
         assert missing.exit_code == 2
+        cuboid = json.loads(pathlib.Path(CUBOID).read_text())
+        order_stats = json.loads(pathlib.Path(ORDER_STATS).read_text())
+        defects = {
+            "stage without eps": (order_stats, lambda doc: doc["stages"][0].pop("eps")),
+            "stage without generator":
+                (order_stats, lambda doc: doc["stages"][0].pop("generator")),
+            "cuboid generator without coordinate":
+                (cuboid, lambda doc: doc["stages"][0]["generator"].pop("coordinate")),
+            "cuboid coordinate outside [0, n)":
+                (cuboid, lambda doc: doc["stages"][1]["generator"].update(coordinate=5)),
+        }
+        for name, (valid, damage) in defects.items():
+            doc = json.loads(json.dumps(valid))
+            damage(doc)
+            bad.write_text(json.dumps(doc))
+            result = runner.invoke(main, ["plan", "--spec", str(bad)])
+            assert result.exit_code == 2, name
+            assert "invalid program spec" in result.output, name
 
 
 class TestSolve:
@@ -196,6 +215,50 @@ class TestValidateCommand:
         args = ["validate", "--spec", ORDER_STATS, "--seed", "4", "--reps", "5", "--nval", "100"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
+    def test_out_writes_manifest(self, runner, tmp_path):
+        args = ["validate", "--spec", ORDER_STATS, "--seed", "4", "--reps", "3", "--nval", "100",
+                "--discard", "greedy", "--R", "1"]
+        out = tmp_path / "survey" / "violations.csv"
+        result = runner.invoke(main, args + ["--threads", "2", "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.output == ""
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# manifest: manifest.json"
+        assert lines[1:] == runner.invoke(main, args).output.splitlines()
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["command"] == "validate"
+        assert manifest["params"] == {
+            "spec": ORDER_STATS, "reps": 3, "nval": 100, "alpha": 0.05, "theta": 1e-6,
+            "method": "implicit", "discard_algorithm": "greedy", "discards": [1], "threads": 2,
+        }
+        assert manifest["seed"] == 4
+        assert manifest["outputs"] == [str(out)]
+
+
+class TestBadInputExit2:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["validate", "--spec", ORDER_STATS, "--reps", "-1"],
+            ["validate", "--spec", CUBOID, "--nval", "0"],
+            ["cuboid", "table2", "--reps", "0", "--cells", "10:2"],
+            ["validate", "--spec", NO_SAMPLER],
+            ["validate", "--spec", ORDER_STATS, "--R", "2"],
+        ],
+        ids=["negative-reps", "zero-nval", "table2-zero-reps", "no-sampler", "R-without-discard"],
+    )
+    def test_exit_2(self, runner, tmp_path, args):
+        doc = json.loads(pathlib.Path(ORDER_STATS).read_text())
+        del doc["stages"][0]["sampler"]
+        spec = tmp_path / "no_sampler.json"
+        spec.write_text(json.dumps(doc))
+        args = [str(spec) if a == NO_SAMPLER else a for a in args]
+        if args[0] == "cuboid":
+            args += ["--out", str(tmp_path / "table2.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "table2.csv").exists()
+
 
 class TestCuboidCommands:
     def test_table1_files(self, runner, tmp_path):
@@ -232,3 +295,18 @@ class TestCuboidCommands:
         assert result.exit_code == 0
         rows = [line.split(",")[:2] for line in out.read_text().splitlines()[2:]]
         assert rows == [["1", "2"], ["10", "10"]]
+
+    def test_table2_manifest(self, runner, tmp_path):
+        out = tmp_path / "tables" / "table2.csv"
+        result = runner.invoke(
+            main,
+            ["cuboid", "table2", "--reps", "20", "--seed", "7", "--cells", "10:2",
+             "--threads", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        assert out.read_text().splitlines()[0] == "# manifest: manifest.json"
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["command"] == "cuboid table2"
+        assert manifest["params"] == {"reps": 20, "cells": "10:2", "theta": 1e-6, "threads": 2}
+        assert manifest["seed"] == 7
+        assert manifest["outputs"] == [str(out)]

@@ -283,6 +283,37 @@ class TestCheckDiscardAssumption:
         )
         assert check_discard_assumption(program, ms, result) == ["none", "FAIL"]
 
+    def test_matches_per_sample_loop(self, rng):
+        def modes_by_loop(program, ms, result):
+            modes = []
+            for i, stage in enumerate(program.stages):
+                rows = [stage.generator.rows(ms.outcomes[i][k]) for k in result.removed[i]]
+                if not rows:
+                    modes.append("none")
+                elif all(float(np.max(a @ result.solution.x - b)) > 1e-9 for a, b in rows):
+                    modes.append("violated-by-reduced")
+                else:
+                    modes.append("monotone-declared" if stage.monotone else "FAIL")
+            return modes
+
+        seen = set()
+        for _ in range(30):
+            program = random_lp_program(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)))
+            program.stages[0].monotone = bool(rng.integers(2))
+            ms = draw_multisample(program, [12] * program.n_stages, int(rng.integers(2**31)))
+            greedy = remove_greedy(program, ms, [2] * program.n_stages)
+            # the base solution violates no sample, so removing any passes only if monotone
+            arbitrary = RemovalResult(
+                removed=[sorted(rng.choice(12, size=3, replace=False).tolist())
+                         for _ in program.stages],
+                solution=solve(program, ms), objective_improvement=0.0, assumption_modes=[],
+            )
+            for result in (greedy, arbitrary):
+                modes = check_discard_assumption(program, ms, result)
+                assert modes == modes_by_loop(program, ms, result)
+                seen.update(modes)
+        assert seen == {"violated-by-reduced", "monotone-declared", "FAIL"}
+
 
 @pytest.fixture(scope="module")
 def two_stage():

@@ -35,7 +35,10 @@ _MANIFEST = "manifest.json"
 _spec_option = click.option("--spec", "spec_path", required=True, type=click.Path())
 _seed_option = click.option("--seed", type=int, default=0, show_default=True)
 _theta_option = click.option("--theta", type=float, default=1e-6, show_default=True)
-_alpha_option = click.option("--alpha", type=float, default=0.05, show_default=True)
+_alpha_option = click.option(
+    "--alpha", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+    default=0.05, show_default=True,
+)
 _method_option = click.option(
     "--method",
     type=click.Choice(["implicit", "chernoff", "refined"]),
@@ -190,7 +193,10 @@ def cmd_plan(spec_path: str, theta: float, method: str, discard_text: str | None
 @_method_option
 @_discard_option
 @_removals_option
-@click.option("--validate", "n_val", type=int, default=0, help="Validation draws per stage.")
+@click.option(
+    "--validate", "n_val", type=click.IntRange(min=0), default=0,
+    help="Validation draws per stage.",
+)
 @_alpha_option
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Write outputs here.")
 @_recorded_threads_option
@@ -337,7 +343,7 @@ def _parse_cells(text: str) -> list[tuple[float, int]]:
 @click.option("--cells", default="all", show_default=True, help="'all' or 'eps%:n' pairs.")
 @_theta_option
 @click.option("--out", "out_path", type=click.Path(), default="table2.csv", show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_table2(
     reps: int, seed: int, cells: str, theta: float, out_path: str, threads: int
 ) -> None:

@@ -272,37 +272,48 @@ def _sampler_from_json(node: dict):
     raise ValueError(f"unknown sampler type {kind!r}")
 
 
+def _outcome_dim(sampler) -> int:
+    if isinstance(sampler, ProductSampler):
+        return sum(_outcome_dim(part) for part in sampler.parts)
+    return sampler.dim
+
+
+def _row_field(row: dict, key: str, shape: tuple, required: bool = False) -> np.ndarray:
+    """A linear generator row's field as an array of ``shape``; zeros when
+    an optional field is absent."""
+    if key not in row and not required:
+        return np.zeros(shape)
+    value = np.asarray(row[key], dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"generator row field {key!r} has shape {value.shape}, expected {shape}")
+    return value
+
+
 def _generator_from_json(node: dict, dim: int):
+    """The generator and the dimension of the outcomes it takes."""
     kind = node.get("type")
     if kind == "linear":
         rows = node.get("rows")
         if not rows:
             raise ValueError("linear generator needs a nonempty 'rows' list")
         delta_dim = int(node.get("delta_dim", 1))
-        a0 = np.array([row["a0"] for row in rows], dtype=float)
-        b0 = np.array([row.get("b0", 0.0) for row in rows], dtype=float)
-        if a0.shape[1] != dim:
-            raise ValueError(f"generator rows have length {a0.shape[1]}, expected {dim}")
-        a_delta = None
+        if delta_dim < 1:
+            raise ValueError(f"delta_dim must be positive, got {delta_dim}")
+        a0 = np.array([_row_field(row, "a0", (dim,), required=True) for row in rows])
+        b0 = np.array([_row_field(row, "b0", ()) for row in rows])
+        a_delta = b_delta = None
         if any("a_delta" in row for row in rows):
-            a_delta = np.zeros((len(rows), delta_dim, dim))
-            for r, row in enumerate(rows):
-                if "a_delta" in row:
-                    a_delta[r] = np.asarray(row["a_delta"], dtype=float)
-        b_delta = None
+            a_delta = np.array([_row_field(row, "a_delta", (delta_dim, dim)) for row in rows])
         if any("b_delta" in row for row in rows):
-            b_delta = np.zeros((len(rows), delta_dim))
-            for r, row in enumerate(rows):
-                if "b_delta" in row:
-                    b_delta[r] = np.asarray(row["b_delta"], dtype=float)
-        return LinearRowsGenerator(a0=a0, b0=b0, a_delta=a_delta, b_delta=b_delta)
+            b_delta = np.array([_row_field(row, "b_delta", (delta_dim,)) for row in rows])
+        return LinearRowsGenerator(a0=a0, b0=b0, a_delta=a_delta, b_delta=b_delta), delta_dim
     if kind == "cuboid":
         if dim % 2 != 0:
             raise ValueError("cuboid stages expect the (z, w) layout with an even dimension")
         coordinate = int(node["coordinate"])
         if not 0 <= coordinate < dim // 2:
             raise ValueError(f"cuboid coordinate must lie in [0, {dim // 2}), got {coordinate}")
-        return CuboidCoordinateGenerator(coordinate=coordinate, n=dim // 2)
+        return CuboidCoordinateGenerator(coordinate=coordinate, n=dim // 2), 1
     raise ValueError(f"unknown generator type {kind!r}")
 
 
@@ -328,9 +339,14 @@ def _program_from_json(doc: dict) -> ScenarioProgram:
         det_a = np.array([row["a"] for row in det_rows], dtype=float)
         det_b = np.array([row["b"] for row in det_rows], dtype=float)
     stages = []
-    for node in doc.get("stages", []):
-        generator = _generator_from_json(node["generator"], dim)
+    for i, node in enumerate(doc.get("stages", [])):
+        generator, delta_dim = _generator_from_json(node["generator"], dim)
         sampler = _sampler_from_json(node["sampler"]) if "sampler" in node else None
+        if sampler is not None and _outcome_dim(sampler) != delta_dim:
+            raise ValueError(
+                f"stage {i}: the sampler draws {_outcome_dim(sampler)}-dimensional outcomes, "
+                f"the generator takes {delta_dim}"
+            )
         zeta = node.get("zeta_bar")
         stages.append(
             StageSpec(

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .lp import solve_lp_lexicographic
+from .lp import SortedRows, solve_lp_lexicographic
 from .program import MultiSample, ScenarioProgram, Solution
 
 __all__ = [
@@ -100,8 +100,10 @@ class AssembledProgram:
     """Row-level view of (program, multisample) reused across many solves.
 
     Rows are ordered: box facets (upper then lower), deterministic rows, then
-    sampled rows stage by stage.  Removal of a sample is a row mask, so greedy
-    and brute-force searches never re-assemble.
+    sampled rows stage by stage.  The LP's canonical row sort, the transposed
+    matrix and the box-row positions are computed once here (``rows``), so
+    removal of a sample is a keep mask in that sorted order: greedy and
+    brute-force searches never re-assemble or re-sort.
     """
 
     def __init__(self, program: ScenarioProgram, ms: MultiSample):
@@ -131,22 +133,26 @@ class AssembledProgram:
         # and deterministic rows, which no removal touches.
         self.uid = np.concatenate(uid_parts)
         self.total_samples = int(sum(self.sizes))
+        self.rows = SortedRows(self.a, self.b)
+        self._sorted_uid = self.uid[self.rows.order]
 
-    def _mask(self, drop) -> np.ndarray:
+    def _keep(self, drop) -> np.ndarray | None:
+        """Keep mask in the sorted row order; None when nothing is dropped."""
+        if not drop:
+            return None
         # A lookup table over the sample ids; uid -1 reads the spare last
         # slot, which stays False.  (np.isin costs 5x as much per call.)
         dropped = np.zeros(self.total_samples + 1, dtype=bool)
         dropped[[self.stage_uid_base[i] + kappa for i, kappa in drop]] = True
-        return ~dropped[self.uid]
+        return ~dropped[self._sorted_uid]
 
-    def solve_lex(self, drop=()):
-        mask = self._mask(drop)
-        res = solve_lp_lexicographic(self.program.cost, self.a[mask], self.b[mask])
-        if res.status == "optimal":
-            duals = np.zeros(self.b.shape[0])
-            duals[mask] = res.duals
-            res.duals = duals
-        return res
+    def solve_lex(self, drop=(), start=None):
+        """Lexicographic solve without the samples in ``drop``, duals aligned
+        to the assembled rows.  ``start``, an optimal result of this
+        program, makes the solve warm-start from its basis; a warm result
+        that is not certified unique is re-solved cold."""
+        rows = self.rows.select(self._keep(drop), start)
+        return solve_lp_lexicographic(self.program.cost, rows)
 
     def to_solution(self, res) -> Solution:
         if res.status != "optimal":
@@ -197,16 +203,20 @@ def support_set(
     """Per-stage indices whose removal moves the optimizer.
 
     Only samples active at the optimum are candidates: removing a constraint
-    that is slack at the unique optimizer cannot move it.
+    that is slack at the unique optimizer cannot move it.  The program is
+    solved once more for its optimal basis, and each drop-one re-solve
+    starts from that basis; one whose result is not optimal and certified
+    unique falls back to a cold lexicographic solve.
     """
     if solution.status != "optimal":
         raise ValueError("support sets are defined for optimal solutions only")
     assembled = AssembledProgram(program, ms)
+    base = assembled.solve_lex()
     result: list[list[int]] = []
     for i in range(program.n_stages):
         members = []
         for kappa in solution.active[i]:
-            res = assembled.solve_lex(drop=[(i, kappa)])
+            res = assembled.solve_lex(drop=[(i, kappa)], start=base)
             if res.status != "optimal" or _moved(res.x, solution.x):
                 members.append(kappa)
         result.append(members)

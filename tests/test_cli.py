@@ -110,6 +110,18 @@ class TestPlan:
                 (cuboid, lambda doc: doc["stages"][0]["generator"].pop("coordinate")),
             "cuboid coordinate outside [0, n)":
                 (cuboid, lambda doc: doc["stages"][1]["generator"].update(coordinate=5)),
+            "sampler dim differs from delta_dim":
+                (order_stats, lambda doc: doc["stages"][0]["sampler"].update(dim=3)),
+            "delta_dim differs from sampler dim":
+                (order_stats, lambda doc: doc["stages"][0]["generator"].update(delta_dim=2)),
+            "scalar a0": (order_stats, lambda doc: doc["stages"][0]["generator"]["rows"][0]
+                          .update(a0=-1)),
+            "b_delta longer than delta_dim":
+                (order_stats, lambda doc: doc["stages"][0]["generator"]["rows"][0]
+                 .update(b_delta=[-1, 0])),
+            "a_delta of the wrong shape":
+                (order_stats, lambda doc: doc["stages"][0]["generator"]["rows"][0]
+                 .update(a_delta=[1, 2])),
         }
         for name, (valid, damage) in defects.items():
             doc = json.loads(json.dumps(valid))
@@ -244,8 +256,15 @@ class TestBadInputExit2:
             ["cuboid", "table2", "--reps", "0", "--cells", "10:2"],
             ["validate", "--spec", NO_SAMPLER],
             ["validate", "--spec", ORDER_STATS, "--R", "2"],
+            ["solve", "--spec", ORDER_STATS, "--alpha", "2", "--validate", "10"],
+            ["validate", "--spec", ORDER_STATS, "--alpha", "2", "--reps", "2", "--nval", "10"],
+            ["validate", "--spec", ORDER_STATS, "--alpha", "0", "--reps", "2", "--nval", "10"],
+            ["solve", "--spec", ORDER_STATS, "--validate", "-5"],
+            ["cuboid", "table2", "--threads", "-3", "--reps", "10", "--cells", "10:2"],
         ],
-        ids=["negative-reps", "zero-nval", "table2-zero-reps", "no-sampler", "R-without-discard"],
+        ids=["negative-reps", "zero-nval", "table2-zero-reps", "no-sampler", "R-without-discard",
+             "solve-alpha-2", "validate-alpha-2", "validate-alpha-0", "negative-validate",
+             "table2-negative-threads"],
     )
     def test_exit_2(self, runner, tmp_path, args):
         doc = json.loads(pathlib.Path(ORDER_STATS).read_text())

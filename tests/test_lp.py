@@ -254,3 +254,81 @@ class TestCertifiedVertex:
         assert res.x == pytest.approx([-1.0, 1.0, 1.0], abs=1e-9)
         assert res.objective == pytest.approx(-1.0, abs=1e-12)  # the optimum, not the thickened face
         assert np.array_equal(res.duals, first.duals)
+
+
+def _scatter(duals, mask):
+    full = np.zeros(mask.shape[0])
+    full[mask] = duals
+    return full
+
+
+class TestSortedRows:
+    def test_view_matches_masked_arrays(self, rng):
+        # a keep mask on the once-sorted rows gives the bits of sorting the
+        # masked rows afresh, whatever order the rows were given in
+        for trial in range(40):
+            d = int(rng.integers(1, 6))
+            cost, rows_a, rows_b = random_bounded_lp(rng, d, int(rng.integers(3, 30)))
+            if trial % 4 == 0:
+                cost = np.zeros(d)  # flat face: the coordinate passes run too
+            rows_a[1] = rows_a[0]  # a duplicated row
+            rows_b[1] = rows_b[0]
+            perm = rng.permutation(rows_b.shape[0])
+            rows_a, rows_b = rows_a[perm], rows_b[perm]
+            mask = rng.uniform(size=rows_b.shape[0]) < 0.7
+            mask[np.abs(rows_a).sum(axis=1) == np.abs(rows_a).max(axis=1)] = True  # box rows
+            rows = lp.SortedRows(rows_a, rows_b)
+            view = rows.select(mask[rows.order])
+            for solver in (solve_lp, solve_lp_lexicographic):
+                ref = solver(cost, rows_a[mask], rows_b[mask])
+                res = solver(cost, view)
+                assert res.status == ref.status == "optimal"
+                assert np.array_equal(res.x, ref.x)
+                assert res.objective == ref.objective
+                assert np.array_equal(res.duals, _scatter(ref.duals, mask))
+                assert res.pivots == ref.pivots and not res.warm
+
+    def test_dropping_a_nonbasic_active_row_takes_no_pivot(self):
+        # x >= 0 in the box [-1, 1]^2 and x1 + x2 >= 0: the last row is tight
+        # at the optimum 0 but not basic, so dropping it keeps the basis
+        rows_a = np.vstack([np.eye(2), -np.eye(2), [[-1.0, -1.0]]])
+        rows_b = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        rows = lp.SortedRows(rows_a, rows_b)
+        base = solve_lp(np.ones(2), rows)
+        assert base.duals[4] == 0.0 and rows_a[4] @ base.x == rows_b[4]
+        keep = rows.order != 4
+        res = solve_lp_lexicographic(np.ones(2), rows.select(keep, base))
+        assert res.warm and res.pivots == 0
+        assert np.array_equal(res.x, base.x)
+
+    def test_warm_start_drives_a_basic_row_out(self, rng):
+        for _ in range(30):
+            d = int(rng.integers(2, 6))
+            cost, rows_a, rows_b = random_bounded_lp(rng, d, 6 * d)
+            rows = lp.SortedRows(rows_a, rows_b)
+            base = solve_lp(cost, rows)
+            for row in np.flatnonzero(base.duals > 0.0):
+                if row >= rows_b.shape[0] - 2 * d:
+                    continue  # box rows stay
+                mask = np.arange(rows_b.shape[0]) != row
+                res = solve_lp_lexicographic(cost, rows.select(mask[rows.order], base))
+                ref = solve_lp_lexicographic(cost, rows_a[mask], rows_b[mask])
+                assert res.status == "optimal"
+                assert np.abs(res.x - ref.x).max() <= 1e-9
+                assert res.duals[row] == 0.0
+
+    def test_uncertified_warm_result_falls_back(self, solve_lp_calls):
+        # zero cost: every dual is zero, so no warm result is certified and
+        # the cold solve and its coordinate passes decide the point
+        rows_a = np.vstack([np.eye(3), -np.eye(3), [[-1.0, -1.0, 0.0]]])
+        rows_b = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
+        rows = lp.SortedRows(rows_a, rows_b)
+        base = solve_lp_lexicographic(np.zeros(3), rows)
+        mask = np.arange(7) != 6
+        solve_lp_calls.clear()
+        res = solve_lp_lexicographic(np.zeros(3), rows.select(mask[rows.order], base))
+        assert len(solve_lp_calls) == 2 + 3  # the warm try, the cold solve, three passes
+        assert not res.warm
+        ref = solve_lp_lexicographic(np.zeros(3), rows_a[mask], rows_b[mask])
+        assert np.array_equal(res.x, ref.x)
+        assert res.x == pytest.approx([-1.0, -1.0, -1.0], abs=1e-9)

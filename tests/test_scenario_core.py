@@ -5,6 +5,8 @@ import pytest
 from scipy.optimize import linprog
 
 from scenopt.bounds import plan_multistage
+from scenopt.cuboid_bench import CuboidInstance, cuboid_program, cuboid_support_sets
+from scenopt.lp import solve_lp_lexicographic
 from scenopt.program import (
     LinearRowsGenerator,
     MultiSample,
@@ -207,6 +209,50 @@ class TestSupportSet:
             support = support_set(program, ms, sol)
             assert all(len(s) <= 2 for s in support)
             assert sum(len(s) for s in support) <= 3
+
+
+class TestSortedOnce:
+    def test_drop_sets_match_masked_rows(self, rng):
+        # a drop set is a keep mask on the rows sorted once; the result has
+        # the bits of solving the masked assembled rows afresh
+        for trial in range(30):
+            program = random_lp_program(rng, dim=int(rng.integers(2, 5)), n_stages=2)
+            ms = draw_multisample(program, [12, 9], seed=trial)
+            assembled = AssembledProgram(program, ms)
+            drop = [(i, int(k)) for i in range(2)
+                    for k in rng.choice(ms.sizes()[i], size=int(rng.integers(0, 4)), replace=False)]
+            mask = np.ones(assembled.b.shape[0], dtype=bool)
+            for i, kappa in drop:
+                mask[assembled.uid == assembled.stage_uid_base[i] + kappa] = False
+            res = assembled.solve_lex(drop)
+            ref = solve_lp_lexicographic(program.cost, assembled.a[mask], assembled.b[mask])
+            assert res.status == ref.status == "optimal"
+            assert np.array_equal(res.x, ref.x)
+            assert res.objective == ref.objective
+            expected = np.zeros(mask.shape[0])
+            expected[mask] = ref.duals
+            assert np.array_equal(res.duals, expected)
+
+
+class TestWarmDropOne:
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_warm_matches_cold_on_cuboid(self, n):
+        # m = 7 000-7 500 rows: the size support_set meets on cuboid programs
+        inst = CuboidInstance(n=n, eps=0.05, theta_total=1e-6)
+        program = cuboid_program(inst)
+        ms = draw_multisample(program, plan_multistage(program, 1e-6), seed=n)
+        sol = solve(program, ms)
+        assembled = AssembledProgram(program, ms)
+        base = assembled.solve_lex()
+        for i in range(program.n_stages):
+            for kappa in sol.active[i]:
+                warm = assembled.solve_lex([(i, kappa)], start=base)
+                cold = assembled.solve_lex([(i, kappa)])
+                assert warm.warm and not cold.warm
+                assert np.abs(warm.x - cold.x).max() <= 1e-9
+                if n == 5:
+                    assert warm.pivots <= 4 and warm.pivots < cold.pivots
+        assert support_set(program, ms, sol) == cuboid_support_sets(inst, ms)
 
 
 class TestEssentialSets:

@@ -17,8 +17,9 @@ The grid runs in-process through click's ``CliRunner``:
 The script prints one SHA-256 digest per command over every invocation's
 exit code, stdout and the files it wrote.  The temporary directory is
 replaced by ``<tmp>`` and every ``wall_clock_s`` by 0 first, so equal lines
-mean equal results.  To compare with another checkout, run it there with
-``PYTHONPATH=<checkout>/src``.
+mean equal results.  To compare with another checkout, run this same copy
+of the script with ``PYTHONPATH=<checkout>/src``: the manifests record the
+spec paths, so a copy in another directory digests differently.
 
 Usage:
     PYTHONPATH=src python scripts/cli_digest.py

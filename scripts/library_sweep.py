@@ -6,12 +6,16 @@ random dimension (2-4), stage count (1-2), per-stage sample sizes (6-19),
 discard budgets (0-3) and sampling seed, all drawn from one generator.
 Every program runs through ``solve``, ``support_set`` (when the solve is
 optimal), ``remove_greedy`` and ``remove_marginal``; every tenth program
-whose budgets sum to at most 3 also runs through ``remove_optimal``.
+whose budgets sum to at most 3 also runs through ``remove_optimal``, and
+every program with at most 8 sampled constraints through
+``essential_sets_bruteforce`` (which draws nothing from the generator).
 
 The script prints one SHA-256 digest per algorithm over the statuses, the
 bytes of x and of the objective, the active sets, and for removals the
-removed samples, the improvement and the assumption modes.  Run it in two
-checkouts with the same arguments; equal lines mean equal results.
+removed samples, the improvement and the assumption modes; for essential
+sets, every essential set and the minimal one, or the exception raised.
+Run it in two checkouts with the same arguments; equal lines mean equal
+results.
 
 Usage:
     PYTHONPATH=src python scripts/library_sweep.py [--rng 12345] [--programs 300]
@@ -25,7 +29,12 @@ import sys
 import numpy as np
 
 from scenopt.discard import remove_greedy, remove_marginal, remove_optimal
-from scenopt.scenario_core import draw_multisample, solve, support_set
+from scenopt.scenario_core import (
+    draw_multisample,
+    essential_sets_bruteforce,
+    solve,
+    support_set,
+)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 from conftest import random_lp_program  # noqa: E402
@@ -51,7 +60,7 @@ def main() -> int:
     parser.add_argument("--programs", type=int, default=300)
     args = parser.parse_args()
 
-    names = ("solve", "support_set", "greedy", "marginal", "optimal")
+    names = ("solve", "support_set", "greedy", "marginal", "optimal", "essential")
     digests = {name: hashlib.sha256() for name in names}
     runs = dict.fromkeys(names, 0)
     rng = np.random.default_rng(args.rng)
@@ -76,6 +85,13 @@ def main() -> int:
         if index % 10 == 0 and sum(discards) <= 3:
             _feed_removal(digests["optimal"], remove_optimal(program, ms, discards))
             runs["optimal"] += 1
+        if sum(sizes) <= 8:
+            try:
+                outcome = repr(essential_sets_bruteforce(program, ms))
+            except (ValueError, ArithmeticError) as exc:
+                outcome = type(exc).__name__
+            digests["essential"].update(outcome.encode())
+            runs["essential"] += 1
 
     for name in names:
         print(f"{name:<12} {runs[name]:>4} {digests[name].hexdigest()}")

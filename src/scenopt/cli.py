@@ -57,7 +57,7 @@ _removals_option = click.option(
     "--R", "discard_text", default=None, help="Per-stage removal counts, e.g. '5,0'."
 )
 _recorded_threads_option = click.option(
-    "--threads", type=int, default=1, show_default=True,
+    "--threads", type=click.IntRange(min=1), default=1, show_default=True,
     help="Recorded in the manifest only; the command runs serially.",
 )
 

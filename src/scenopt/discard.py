@@ -21,7 +21,7 @@ import numpy as np
 
 from .lp import solve_lp_lexicographic
 from .program import MultiSample, ScenarioProgram, Solution, StageSpec
-from .scenario_core import NS_PROBE, AssembledProgram, derived_stream
+from .scenario_core import NS_PROBE, derived_stream, solve
 
 __all__ = [
     "RemovalResult",
@@ -90,12 +90,12 @@ def remove_optimal(
     if total > guard:
         raise ValueError(f"{total} removal combinations exceed the guard {guard}")
 
-    assembled = AssembledProgram(program, ms)
-    base = assembled.solve_lex()
-    if base.status != "optimal":
-        return _finish(program, ms, [], math.nan, assembled.to_solution(base))
+    solution = solve(program, ms)
+    if solution.status != "optimal":
+        return _finish(program, ms, [], math.nan, solution)
+    assembled = solution._assembled
 
-    best, best_drop, best_obj = base, [], math.inf
+    best, best_drop, best_obj = assembled.base, [], math.inf
     for combo in itertools.product(
         *[itertools.combinations(range(sizes[i]), budgets[i]) for i in range(len(sizes))]
     ):
@@ -104,11 +104,12 @@ def remove_optimal(
         obj = res.objective  # None unless optimal
         if obj is not None and obj < best_obj - _OBJ_TIE_TOL * (1.0 + abs(obj)):
             best, best_drop, best_obj = res, drop, obj
-    return _finish(program, ms, best_drop, base.objective, assembled.to_solution(best))
+    return _finish(program, ms, best_drop, solution.objective, assembled.to_solution(best))
 
 
 def _remove_sequentially(program: ScenarioProgram, ms: MultiSample, discards, pick) -> RemovalResult:
-    """Drop one sample at a time, as chosen by ``pick``, re-solving after each.
+    """Drop one sample at a time, as chosen by ``pick``, re-solving after each
+    on the rows that ``solve(program, ms)`` assembled.
 
     ``pick(assembled, current, drop, candidates)`` returns one of the
     candidates (the samples not yet dropped in stages with budget left, in
@@ -119,8 +120,8 @@ def _remove_sequentially(program: ScenarioProgram, ms: MultiSample, discards, pi
     """
     budgets = _budgets(program, ms, discards)
     sizes = ms.sizes()
-    assembled = AssembledProgram(program, ms)
-    current = assembled.to_solution(assembled.solve_lex())
+    current = solve(program, ms)
+    assembled = current._assembled
     base = current.objective
     drop: list[tuple[int, int]] = []
     dropped: set[tuple[int, int]] = set()

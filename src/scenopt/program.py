@@ -240,6 +240,8 @@ class Solution:
     active: list[list[int]]          # per stage: sample indices with a tight row
     stage_duals: list[np.ndarray]    # per stage: multiplier aggregated per sample
     fixed_duals: np.ndarray          # box facets then deterministic rows
+    # The AssembledProgram this was solved from, set by scenario_core.solve only.
+    _assembled: object = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ pointwise-maximum reading of joint constraints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -97,13 +98,14 @@ def draw_multisample(program: ScenarioProgram, plan, seed: int) -> MultiSample:
 
 
 class AssembledProgram:
-    """Row-level view of (program, multisample) reused across many solves.
+    """Row-level view of (program, multisample) that ``solve`` keeps on its Solution.
 
     Rows are ordered: box facets (upper then lower), deterministic rows, then
     sampled rows stage by stage.  The LP's canonical row sort, the transposed
-    matrix and the box-row positions are computed once here (``rows``), so
-    removal of a sample is a keep mask in that sorted order: greedy and
-    brute-force searches never re-assemble or re-sort.
+    matrix, the box-row positions (``rows``) and the full lexicographic solve
+    (``base``) are computed once here, so removal of a sample is a keep mask
+    in that sorted order: support sets, removals and brute-force searches
+    never re-assemble, re-sort or re-solve the full program.
     """
 
     def __init__(self, program: ScenarioProgram, ms: MultiSample):
@@ -146,6 +148,11 @@ class AssembledProgram:
         dropped[[self.stage_uid_base[i] + kappa for i, kappa in drop]] = True
         return ~dropped[self._sorted_uid]
 
+    @functools.cached_property
+    def base(self):
+        """The full program's lexicographic solve, made once."""
+        return self.solve_lex()
+
     def solve_lex(self, drop=(), start=None):
         """Lexicographic solve without the samples in ``drop``, duals aligned
         to the assembled rows.  ``start``, an optimal result of this
@@ -185,15 +192,16 @@ class AssembledProgram:
 
 def solve(program: ScenarioProgram, ms: MultiSample) -> Solution:
     """Unique optimizer of the assembled program under the lexicographic
-    tie-break.  Infeasibility is surfaced through ``status``."""
+    tie-break.  Infeasibility is surfaced through ``status``.  The solution
+    keeps the one ``AssembledProgram`` of (program, ms) and its full solve
+    (``base``), which ``support_set`` and the removals re-solve from."""
     assembled = AssembledProgram(program, ms)
-    res = assembled.solve_lex()
-    return assembled.to_solution(res)
+    solution = assembled.to_solution(assembled.base)
+    solution._assembled = assembled
+    return solution
 
 
-def _moved(x_new: np.ndarray | None, x_ref: np.ndarray) -> bool:
-    if x_new is None:
-        return True
+def _moved(x_new: np.ndarray, x_ref: np.ndarray) -> bool:
     return bool(np.max(np.abs(x_new - x_ref)) > SUPPORT_MOVE_TOL)
 
 
@@ -202,21 +210,23 @@ def support_set(
 ) -> list[list[int]]:
     """Per-stage indices whose removal moves the optimizer.
 
-    Only samples active at the optimum are candidates: removing a constraint
-    that is slack at the unique optimizer cannot move it.  The program is
-    solved once more for its optimal basis, and each drop-one re-solve
-    starts from that basis; one whose result is not optimal and certified
-    unique falls back to a cold lexicographic solve.
+    ``solution`` must be what ``solve(program, ms)`` returned for these
+    objects (ValueError otherwise); each drop-one re-solve starts from the
+    basis of the full solve it keeps.  Only samples active at the optimum are
+    candidates: removing a constraint that is slack at the unique optimizer
+    cannot move it.  A re-solve that is not optimal and certified unique
+    falls back to a cold lexicographic solve.
     """
     if solution.status != "optimal":
         raise ValueError("support sets are defined for optimal solutions only")
-    assembled = AssembledProgram(program, ms)
-    base = assembled.solve_lex()
+    assembled = solution._assembled
+    if assembled is None or assembled.program is not program or assembled.ms is not ms:
+        raise ValueError("solution was not returned by solve for this program and multisample")
     result: list[list[int]] = []
     for i in range(program.n_stages):
         members = []
         for kappa in solution.active[i]:
-            res = assembled.solve_lex(drop=[(i, kappa)], start=base)
+            res = assembled.solve_lex(drop=[(i, kappa)], start=assembled.base)
             if res.status != "optimal" or _moved(res.x, solution.x):
                 members.append(kappa)
         result.append(members)
@@ -245,11 +255,10 @@ def essential_sets_bruteforce(
     total = int(sum(sizes))
     if total > max_total:
         raise ValueError(f"{total} sampled constraints exceed the brute-force guard {max_total}")
-    assembled = AssembledProgram(program, ms)
-    res_full = assembled.solve_lex()
-    if res_full.status != "optimal":
-        raise ValueError(f"full problem is not solvable: status {res_full.status}")
-    x_full = res_full.x
+    solution = solve(program, ms)
+    if solution.status != "optimal":
+        raise ValueError(f"full problem is not solvable: status {solution.status}")
+    assembled, x_full = solution._assembled, solution.x
 
     all_pairs = [(i, kappa) for i in range(len(sizes)) for kappa in range(sizes[i])]
     cache: dict[frozenset, np.ndarray | None] = {}

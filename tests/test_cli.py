@@ -261,10 +261,12 @@ class TestBadInputExit2:
             ["validate", "--spec", ORDER_STATS, "--alpha", "0", "--reps", "2", "--nval", "10"],
             ["solve", "--spec", ORDER_STATS, "--validate", "-5"],
             ["cuboid", "table2", "--threads", "-3", "--reps", "10", "--cells", "10:2"],
+            ["solve", "--spec", ORDER_STATS, "--threads", "-5"],
+            ["validate", "--spec", ORDER_STATS, "--threads", "-5", "--reps", "2", "--nval", "10"],
         ],
         ids=["negative-reps", "zero-nval", "table2-zero-reps", "no-sampler", "R-without-discard",
              "solve-alpha-2", "validate-alpha-2", "validate-alpha-0", "negative-validate",
-             "table2-negative-threads"],
+             "table2-negative-threads", "solve-negative-threads", "validate-negative-threads"],
     )
     def test_exit_2(self, runner, tmp_path, args):
         doc = json.loads(pathlib.Path(ORDER_STATS).read_text())

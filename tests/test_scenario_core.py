@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from scenopt import lp
 from scenopt.bounds import plan_multistage
-from scenopt.cuboid_bench import CuboidInstance, cuboid_program, cuboid_support_sets
+from scenopt.cuboid_bench import (
+    CuboidInstance,
+    cuboid_program,
+    cuboid_solve_analytic,
+    cuboid_support_sets,
+)
 from scenopt.lp import solve_lp_lexicographic
 from scenopt.program import (
     LinearRowsGenerator,
@@ -211,6 +217,43 @@ class TestSupportSet:
             assert sum(len(s) for s in support) <= 3
 
 
+def cuboid_draw(n, seed):
+    inst = CuboidInstance(n=n, eps=0.05, theta_total=1e-6)
+    program = cuboid_program(inst)
+    return inst, program, draw_multisample(program, plan_multistage(program, 1e-6), seed=seed)
+
+
+class TestOneAssembly:
+    def test_support_set_reuses_the_solve(self, monkeypatch):
+        # solve sorts the rows and solves the full program once; support_set
+        # adds only its drop-one re-solves
+        _, program, ms = cuboid_draw(5, seed=5)
+        counts = {"SortedRows": 0, "solve_lp": 0}
+        init, solve_lp = lp.SortedRows.__init__, lp.solve_lp
+
+        def counted_init(self, *args):
+            counts["SortedRows"] += 1
+            init(self, *args)
+
+        def counted_solve_lp(*args):
+            counts["solve_lp"] += 1
+            return solve_lp(*args)
+
+        monkeypatch.setattr(lp.SortedRows, "__init__", counted_init)
+        monkeypatch.setattr(lp, "solve_lp", counted_solve_lp)
+        sol = solve(program, ms)
+        support_set(program, ms, sol)
+        assert counts == {"SortedRows": 1, "solve_lp": 1 + sum(len(a) for a in sol.active)}
+
+    def test_support_set_rejects_a_solution_from_elsewhere(self):
+        inst, program, ms = cuboid_draw(5, seed=5)
+        _, _, other = cuboid_draw(5, seed=6)
+        with pytest.raises(ValueError):
+            support_set(program, ms, cuboid_solve_analytic(inst, ms))
+        with pytest.raises(ValueError):
+            support_set(program, ms, solve(program, other))
+
+
 class TestSortedOnce:
     def test_drop_sets_match_masked_rows(self, rng):
         # a drop set is a keep mask on the rows sorted once; the result has
@@ -235,18 +278,19 @@ class TestSortedOnce:
 
 
 class TestWarmDropOne:
-    @pytest.mark.parametrize("n", [5, 10])
-    def test_warm_matches_cold_on_cuboid(self, n):
+    @pytest.mark.parametrize(
+        "n, seed",
+        [pytest.param(n, seed, id=str(n) if seed == n else f"{n}-seed{seed}")
+         for n in (5, 10) for seed in (n, 1, 2, 3)],
+    )
+    def test_warm_matches_cold_on_cuboid(self, n, seed):
         # m = 7 000-7 500 rows: the size support_set meets on cuboid programs
-        inst = CuboidInstance(n=n, eps=0.05, theta_total=1e-6)
-        program = cuboid_program(inst)
-        ms = draw_multisample(program, plan_multistage(program, 1e-6), seed=n)
+        inst, program, ms = cuboid_draw(n, seed)
         sol = solve(program, ms)
-        assembled = AssembledProgram(program, ms)
-        base = assembled.solve_lex()
+        assembled = sol._assembled
         for i in range(program.n_stages):
             for kappa in sol.active[i]:
-                warm = assembled.solve_lex([(i, kappa)], start=base)
+                warm = assembled.solve_lex([(i, kappa)], start=assembled.base)
                 cold = assembled.solve_lex([(i, kappa)])
                 assert warm.warm and not cold.warm
                 assert np.abs(warm.x - cold.x).max() <= 1e-9

@@ -14,8 +14,9 @@ The script prints one SHA-256 digest per algorithm over the statuses, the
 bytes of x and of the objective, the active sets, and for removals the
 removed samples, the improvement and the assumption modes; for essential
 sets, every essential set and the minimal one, or the exception raised.
-Run it in two checkouts with the same arguments; equal lines mean equal
-results.
+A last line counts the dual-simplex runs over the whole sweep and the
+pivots they took.  Run it in two checkouts with the same arguments; equal
+lines mean equal results.
 
 Usage:
     PYTHONPATH=src python scripts/library_sweep.py [--rng 12345] [--programs 300]
@@ -28,6 +29,7 @@ import sys
 
 import numpy as np
 
+from scenopt import lp
 from scenopt.discard import remove_greedy, remove_marginal, remove_optimal
 from scenopt.scenario_core import (
     draw_multisample,
@@ -54,6 +56,21 @@ def _feed_removal(digest, result) -> None:
     digest.update(repr(result.assumption_modes).encode())
 
 
+def _count_simplex_runs() -> list[int]:
+    """Wrap ``lp._dual_form_simplex``, which every LP solve goes through, to
+    record the pivots of each run."""
+    pivots = []
+    original = lp._dual_form_simplex
+
+    def counted(*args):
+        result = original(*args)
+        pivots.append(result[2])
+        return result
+
+    lp._dual_form_simplex = counted
+    return pivots
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rng", type=int, default=12345, help="seed of the program generator")
@@ -63,6 +80,7 @@ def main() -> int:
     names = ("solve", "support_set", "greedy", "marginal", "optimal", "essential")
     digests = {name: hashlib.sha256() for name in names}
     runs = dict.fromkeys(names, 0)
+    pivots = _count_simplex_runs()
     rng = np.random.default_rng(args.rng)
     for index in range(args.programs):
         dim = rng.integers(2, 5)
@@ -95,6 +113,7 @@ def main() -> int:
 
     for name in names:
         print(f"{name:<12} {runs[name]:>4} {digests[name].hexdigest()}")
+    print(f"{'pivots':<12} {len(pivots):>4} {sum(pivots)}")
     return 0
 
 

@@ -34,7 +34,10 @@ _MANIFEST = "manifest.json"
 
 _spec_option = click.option("--spec", "spec_path", required=True, type=click.Path())
 _seed_option = click.option("--seed", type=int, default=0, show_default=True)
-_theta_option = click.option("--theta", type=float, default=1e-6, show_default=True)
+_theta_option = click.option(
+    "--theta", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+    default=1e-6, show_default=True,
+)
 _alpha_option = click.option(
     "--alpha", type=click.FloatRange(0, 1, min_open=True, max_open=True),
     default=0.05, show_default=True,
@@ -319,7 +322,8 @@ def cmd_table1(theta: float, out_dir: str) -> None:
 
 
 def _parse_cells(text: str) -> list[tuple[float, int]]:
-    """The named (eps, n) cells in the order given, each once."""
+    """The named (eps, n) cells in the order given, each once: eps in
+    (0, 100) percent, n at least 1, and at least one cell."""
     if text == "all":
         return [(eps, n) for eps in TABLE_EPS for n in TABLE_N]
     cells: list[tuple[float, int]] = []
@@ -332,8 +336,12 @@ def _parse_cells(text: str) -> list[tuple[float, int]]:
             cell = (float(eps_text) / 100.0, int(n_text))
         except ValueError:
             raise click.UsageError(f"cell spec must look like '1:2,10:50', got {text!r}")
+        if not (0.0 < cell[0] < 1.0 and cell[1] >= 1):
+            raise click.UsageError(f"cell {piece!r} needs eps in (0, 100) percent and n >= 1")
         if cell not in cells:
             cells.append(cell)
+    if not cells:
+        raise click.UsageError(f"--cells names no cell: {text!r}")
     return cells
 
 

@@ -9,10 +9,11 @@ pivoting so the result does not depend on the order constraints arrive in.
 ``SortedRows`` does that sort once, together with everything a solve derives
 from the row order (the transposed matrix, the entering thresholds and the
 box rows), so that many solves on subsets of the same rows skip it: a subset
-is a keep mask in canonical order, and masking preserves the order.
+is a keep mask in canonical order.  Every solve pivots on all the sorted rows
+with the dropped ones barred from entering; Bland's rule only compares
+positions, so that takes the pivots of the kept rows sorted afresh.
 ``solve_lp`` and ``solve_lp_lexicographic`` take either plain arrays, which
-they sort, or such a prepared view; both paths run the same simplex and give
-bit-identical results.
+they sort, or such a prepared view; both give bit-identical results.
 
 Boundedness must come from the rows themselves: for every coordinate i the
 rows must include a multiple of e_i whose sign is opposite to cost_i (either
@@ -24,10 +25,10 @@ pivots ends with ``iteration-limit``.
 A view may instead start from the optimal basis of an earlier solve on the
 same rows (a warm start).  Dropping rows only removes dual columns, so that
 basis stays feasible once the dropped rows have left it: a first pass
-minimizes their duals with the dropped rows barred from entering and pivots
-any that stay basic out, and the simplex then continues on the real
-objective.  ``solve_lp_lexicographic`` keeps a warm result only when it is
-optimal and certified unique, and otherwise re-solves cold.
+minimizes their duals, still barred from entering, and pivots any that stay
+basic out; the box basis holds no dropped row and skips it.
+``solve_lp_lexicographic`` keeps a warm result only when it is optimal and
+certified unique, and otherwise re-solves cold.
 
 ``solve_lp`` returns one optimizer plus duals.  ``solve_lp_lexicographic``
 returns that optimizer when d positive duals certify it as the only one, and
@@ -209,12 +210,12 @@ def _drop_from_basis(rows: SortedRows, barred, basis, binv, xb, budget) -> tuple
 
 def _dual_form_simplex(cost: np.ndarray, rows: SortedRows):
     """Solve min cost'x s.t. a x <= b over the kept rows via the dual
-    min b'lam s.t. a'lam = -cost, lam >= 0.
+    min b'lam s.t. a'lam = -cost, lam >= 0, pivoting on all of ``rows``
+    with the dropped ones barred.
 
-    A cold run gathers the kept rows and starts from the box-row basis,
-    which is dual feasible (B = diag(a_ii), lam_B = |cost_i| / |a_ii| >= 0).
-    A warm run pivots on all rows with the dropped ones barred, starting
-    from ``rows.start``'s basis.  Returns (status, final, pivots), where
+    The run starts from ``rows.start``'s basis, or else from the box-row
+    basis, which is dual feasible (B = diag(a_ii), lam_B = |cost_i| / |a_ii|
+    >= 0) and holds no dropped row.  Returns (status, final, pivots), where
     ``final`` is None unless optimal and otherwise (basis, inverse, basic
     duals, x) with the basis as in ``LpSolution.basis``.
     """
@@ -223,36 +224,24 @@ def _dual_form_simplex(cost: np.ndarray, rows: SortedRows):
     budget = _ITERATIONS_PER_SIZE * (m + d + 10)
     if rows.start is not None:
         basis, binv, xb = (v.copy() for v in rows.start.basis)
-        aeq, b, enter, kept = rows.aeq, rows.b, rows.enter, None
-        barred = None if rows.keep is None else np.flatnonzero(~rows.keep)
-        spent = 0
-        if barred is not None:
-            status, spent = _drop_from_basis(rows, barred, basis, binv, xb, budget)
-            if status != OPTIMAL:
-                return status, None, spent
-        status, pivots = _pivot(aeq, b, enter, barred, basis, binv, xb, budget)
-        pivots += spent
     else:
         basis = rows.box_basis(cost)
         if basis is None:
             return UNBOUNDED_GUARD, None, 0
-        kept = None if rows.keep is None else np.flatnonzero(rows.keep)
-        if kept is None:
-            aeq, b, enter = rows.aeq, rows.b, rows.enter
-        else:
-            aeq = np.compress(rows.keep, rows.aeq, axis=1)
-            b, enter = rows.b[kept], rows.enter[kept]
-            basis = np.searchsorted(kept, basis)
-        diag = aeq[np.arange(d), basis]
+        diag = rows.aeq[np.arange(d), basis]
         binv = np.diag(1.0 / diag)
         xb = np.abs(cost) / np.abs(diag)
-        status, pivots = _pivot(aeq, b, enter, None, basis, binv, xb, budget)
+    barred = None if rows.keep is None else np.flatnonzero(~rows.keep)
+    spent = 0
+    if barred is not None:
+        status, spent = _drop_from_basis(rows, barred, basis, binv, xb, budget)
+        if status != OPTIMAL:
+            return status, None, spent
+    status, pivots = _pivot(rows.aeq, rows.b, rows.enter, barred, basis, binv, xb, budget)
+    pivots += spent
     if status != OPTIMAL:
         return status, None, pivots
-    x = b[basis] @ binv
-    if kept is not None:
-        basis = kept[basis]
-    return status, (basis, binv, xb, x), pivots
+    return status, (basis, binv, xb, rows.b[basis] @ binv), pivots
 
 
 def solve_lp(cost: np.ndarray, rows_a, rows_b: np.ndarray | None = None) -> LpSolution:

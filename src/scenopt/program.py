@@ -147,13 +147,13 @@ class ChoiceSampler:
 
 @dataclass
 class ProductSampler:
-    """Independent scalar components, one sub-sampler each."""
+    """Independent components, one sub-sampler each, side by side."""
 
     parts: tuple
 
     @property
     def dim(self) -> int:
-        return len(self.parts)
+        return sum(part.dim for part in self.parts)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         cols = [part.draw(rng, size).reshape(size, -1) for part in self.parts]
@@ -274,12 +274,6 @@ def _sampler_from_json(node: dict):
     raise ValueError(f"unknown sampler type {kind!r}")
 
 
-def _outcome_dim(sampler) -> int:
-    if isinstance(sampler, ProductSampler):
-        return sum(_outcome_dim(part) for part in sampler.parts)
-    return sampler.dim
-
-
 def _row_field(row: dict, key: str, shape: tuple, required: bool = False) -> np.ndarray:
     """A linear generator row's field as an array of ``shape``; zeros when
     an optional field is absent."""
@@ -344,9 +338,9 @@ def _program_from_json(doc: dict) -> ScenarioProgram:
     for i, node in enumerate(doc.get("stages", [])):
         generator, delta_dim = _generator_from_json(node["generator"], dim)
         sampler = _sampler_from_json(node["sampler"]) if "sampler" in node else None
-        if sampler is not None and _outcome_dim(sampler) != delta_dim:
+        if sampler is not None and sampler.dim != delta_dim:
             raise ValueError(
-                f"stage {i}: the sampler draws {_outcome_dim(sampler)}-dimensional outcomes, "
+                f"stage {i}: the sampler draws {sampler.dim}-dimensional outcomes, "
                 f"the generator takes {delta_dim}"
             )
         zeta = node.get("zeta_bar")

@@ -263,10 +263,18 @@ class TestBadInputExit2:
             ["cuboid", "table2", "--threads", "-3", "--reps", "10", "--cells", "10:2"],
             ["solve", "--spec", ORDER_STATS, "--threads", "-5"],
             ["validate", "--spec", ORDER_STATS, "--threads", "-5", "--reps", "2", "--nval", "10"],
+            ["cuboid", "table1", "--theta", "2"],
+            ["cuboid", "table2", "--theta", "0", "--cells", "1:2"],
+            ["cuboid", "table2", "--cells", "0:2"],
+            ["cuboid", "table2", "--cells", "150:2"],
+            ["cuboid", "table2", "--cells", "1:0"],
+            ["cuboid", "table2", "--cells", ","],
         ],
         ids=["negative-reps", "zero-nval", "table2-zero-reps", "no-sampler", "R-without-discard",
              "solve-alpha-2", "validate-alpha-2", "validate-alpha-0", "negative-validate",
-             "table2-negative-threads", "solve-negative-threads", "validate-negative-threads"],
+             "table2-negative-threads", "solve-negative-threads", "validate-negative-threads",
+             "table1-theta-2", "table2-theta-0", "table2-eps-0", "table2-eps-150", "table2-n-0",
+             "table2-no-cells"],
     )
     def test_exit_2(self, runner, tmp_path, args):
         doc = json.loads(pathlib.Path(ORDER_STATS).read_text())
@@ -274,11 +282,13 @@ class TestBadInputExit2:
         spec = tmp_path / "no_sampler.json"
         spec.write_text(json.dumps(doc))
         args = [str(spec) if a == NO_SAMPLER else a for a in args]
-        if args[0] == "cuboid":
+        if args[:2] == ["cuboid", "table2"]:
             args += ["--out", str(tmp_path / "table2.csv")]
+        elif args[:2] == ["cuboid", "table1"]:
+            args += ["--out-dir", str(tmp_path)]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
-        assert not (tmp_path / "table2.csv").exists()
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestCuboidCommands:

@@ -288,6 +288,29 @@ class TestSortedRows:
                 assert np.array_equal(res.duals, _scatter(ref.duals, mask))
                 assert res.pivots == ref.pivots and not res.warm
 
+    @pytest.mark.parametrize("d,m", [(20, 2_000), (10, 7_500)])
+    def test_view_matches_masked_arrays_at_scale(self, rng, d, m):
+        # the same bits at the sizes of a planned program, with about 10 % of
+        # the sampled rows dropped, a basic row of the full optimum among them
+        for _ in range(2):
+            cost, rows_a, rows_b = random_bounded_lp(rng, d, m)
+            full = solve_lp(cost, rows_a, rows_b)
+            mask = rng.uniform(size=rows_b.shape[0]) < 0.9
+            mask[m:] = True  # box rows
+            mask[np.flatnonzero(full.duals[:m] > 0.0)[0]] = False
+            perm = rng.permutation(rows_b.shape[0])
+            rows_a, rows_b, mask = rows_a[perm], rows_b[perm], mask[perm]
+            rows = lp.SortedRows(rows_a, rows_b)
+            view = rows.select(mask[rows.order])
+            for solver in (solve_lp, solve_lp_lexicographic):
+                ref = solver(cost, rows_a[mask], rows_b[mask])
+                res = solver(cost, view)
+                assert res.status == ref.status == "optimal"
+                assert np.array_equal(res.x, ref.x)
+                assert res.objective == ref.objective
+                assert np.array_equal(res.duals, _scatter(ref.duals, mask))
+                assert res.pivots == ref.pivots and not res.warm
+
     def test_dropping_a_nonbasic_active_row_takes_no_pivot(self):
         # x >= 0 in the box [-1, 1]^2 and x1 + x2 >= 0: the last row is tight
         # at the optimum 0 but not basic, so dropping it keeps the basis

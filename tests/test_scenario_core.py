@@ -16,6 +16,8 @@ from scenopt.lp import solve_lp_lexicographic
 from scenopt.program import (
     LinearRowsGenerator,
     MultiSample,
+    NormalSampler,
+    ProductSampler,
     ScenarioProgram,
     StageSpec,
     UniformSampler,
@@ -75,6 +77,10 @@ class TestDrawMultisample:
         a = draw_multisample(program, [7], seed=123)
         b = draw_multisample(program, [7], seed=124)
         assert not np.array_equal(a.outcomes[0], b.outcomes[0])
+
+    def test_product_dim_counts_outcome_columns(self):
+        sampler = ProductSampler(parts=(NormalSampler(dim=2), UniformSampler()))
+        assert sampler.dim == sampler.draw(np.random.default_rng(0), 5).shape[1] == 3
 
     def test_law_of_large_numbers(self):
         program = order_stats_program()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import solve_lp_lexicographic
+from .lp import solve_lp
 from .program import MultiSample, ScenarioProgram, Solution, StageSpec
 from .scenario_core import NS_PROBE, derived_stream, solve
 
@@ -271,7 +271,7 @@ def monotonicity_empirical_check(
         a_s, b_s = stage.generator.rows_batch(omega)
         rows_a = np.vstack([guard_a, a_s.reshape(-1, d)])
         rows_b = np.concatenate([guard_b, b_s.reshape(-1)])
-        res = solve_lp_lexicographic(cost, rows_a, rows_b)
+        res = solve_lp(cost, rows_a, rows_b)
         if res.status != "optimal":
             continue
         x_min = res.x

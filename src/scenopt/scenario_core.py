@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .lp import SortedRows, solve_lp_lexicographic
+from .lp import SortedRows, solve_lp
 from .program import MultiSample, ScenarioProgram, Solution
 
 __all__ = [
@@ -156,10 +156,10 @@ class AssembledProgram:
     def solve_lex(self, drop=(), start=None):
         """Lexicographic solve without the samples in ``drop``, duals aligned
         to the assembled rows.  ``start``, an optimal result of this
-        program, makes the solve warm-start from its basis; a warm result
-        that is not certified unique is re-solved cold."""
+        program, makes the solve warm-start from its basis; warm or cold,
+        it is one simplex run to the same lexicographic minimizer."""
         rows = self.rows.select(self._keep(drop), start)
-        return solve_lp_lexicographic(self.program.cost, rows)
+        return solve_lp(self.program.cost, rows)
 
     def to_solution(self, res) -> Solution:
         if res.status != "optimal":
@@ -214,8 +214,7 @@ def support_set(
     objects (ValueError otherwise); each drop-one re-solve starts from the
     basis of the full solve it keeps.  Only samples active at the optimum are
     candidates: removing a constraint that is slack at the unique optimizer
-    cannot move it.  A re-solve that is not optimal and certified unique
-    falls back to a cold lexicographic solve.
+    cannot move it.
     """
     if solution.status != "optimal":
         raise ValueError("support sets are defined for optimal solutions only")

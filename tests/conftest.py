@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from scenopt import lp
 from scenopt.bounds import SampleSizePlan, StagePlan
 from scenopt.probkernel import binomial_cdf
 from scenopt.program import (
@@ -87,3 +88,17 @@ def random_lp_program(rng: np.random.Generator, dim: int = 2, n_stages: int = 1)
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def simplex_runs(monkeypatch):
+    """Counts dual-simplex runs: every LP solve is exactly one."""
+    runs = []
+    original = lp._dual_form_simplex
+
+    def counted(*args):
+        runs.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lp, "_dual_form_simplex", counted)
+    return runs

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from scenopt.cli import main
 from scenopt.bounds import SampleSizePlan, StagePlan, plan_multistage
 from scenopt.program import program_from_json
-from scenopt.lp import solve_lp, solve_lp_lexicographic
+from scenopt.lp import solve_lp
 from scenopt.scenario_core import draw_multisample, solve
 
 from conftest import random_lp_program
@@ -188,7 +188,6 @@ class TestSolve:
         monkeypatch.setattr("scenopt.lp._ITERATIONS_PER_SIZE", 0)
         box = np.vstack([np.eye(2), -np.eye(2)])
         assert solve_lp(np.ones(2), box, np.ones(4)).status == "iteration-limit"
-        assert solve_lp_lexicographic(np.ones(2), box, np.ones(4)).status == "iteration-limit"
         program = program_from_json(json.loads(pathlib.Path(CUBOID).read_text()))
         ms = draw_multisample(program, plan_multistage(program, 1e-6), 0)
         assert solve(program, ms).status == "iteration-limit"

@@ -196,20 +196,6 @@ class TestRemoveMarginal:
         assert wins / total >= 0.95
 
 
-@pytest.fixture
-def simplex_runs(monkeypatch):
-    """Counts dual-simplex runs: every LP solve goes through one."""
-    runs = []
-    original = lp._dual_form_simplex
-
-    def counted(*args):
-        runs.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(lp, "_dual_form_simplex", counted)
-    return runs
-
-
 class TestSolveCounts:
     def test_greedy_reuses_the_chosen_candidates_solve(self, simplex_runs):
         # one active candidate per step, so the base solve plus one per removal

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +11,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from scenopt import lp
-from scenopt.lp import solve_lp, solve_lp_lexicographic
+from scenopt.lp import solve_lp
+
+from lp_certificate import lex_certificate
 
 
 def random_bounded_lp(rng, d, m):
@@ -27,7 +35,7 @@ class TestSolveLp:
     def test_box_vertex(self):
         a = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1]])
         b = np.ones(4)
-        res = solve_lp_lexicographic(np.array([1.0, 0.0]), a, b)
+        res = solve_lp(np.array([1.0, 0.0]), a, b)
         assert res.status == "optimal"
         assert res.x == pytest.approx([-1.0, -1.0], abs=1e-9)
         assert res.objective == pytest.approx(-1.0, abs=1e-9)
@@ -35,7 +43,7 @@ class TestSolveLp:
     def test_one_dimensional_max_of_bounds(self):
         a = np.array([[1.0], [-1.0], [-1.0], [-1.0], [-1.0]])
         b = np.array([10.0, 10.0, -0.3, -0.7, -0.5])
-        res = solve_lp_lexicographic(np.array([1.0]), a, b)
+        res = solve_lp(np.array([1.0]), a, b)
         assert res.x[0] == pytest.approx(0.7, abs=1e-12)
         # the binding lower bound carries the only multiplier
         assert res.duals[3] == pytest.approx(1.0, abs=1e-9)
@@ -145,7 +153,9 @@ def kkt_residuals(cost, rows_a, rows_b, x, duals):
 
 
 @pytest.mark.parametrize("family", ["plain", "duplicated", "scaled", "facet-cost", "wide-box"])
-@pytest.mark.parametrize("d,m", [(10, 500), (10, 2000), (20, 500), (20, 2000), (40, 500), (40, 2000)])
+@pytest.mark.parametrize(
+    "d,m", [(10, 500), (10, 2000), (20, 500), (20, 2000), (40, 500), (40, 2000), (50, 5000)]
+)
 def test_matches_highs_at_realistic_sizes(family, d, m):
     cost, rows_a, rows_b = realistic_lp(family, d, m, seed=20)
     res = solve_lp(cost, rows_a, rows_b)
@@ -156,27 +166,73 @@ def test_matches_highs_at_realistic_sizes(family, d, m):
         assert value <= 1e-9, (name, value)
 
 
-@pytest.fixture
-def solve_lp_calls(monkeypatch):
-    """Counts the ``solve_lp`` calls that ``solve_lp_lexicographic`` makes."""
-    calls = []
+@pytest.mark.parametrize("family", ["plain", "facet-cost", "scaled"])
+@pytest.mark.parametrize("d,m", [(10, 2000), (20, 2000)])
+def test_final_basis_is_the_exact_lexicographic_minimizer(family, d, m):
+    # the final basis, solved in rationals, certifies its vertex as the
+    # exact lexicographic minimizer of the float data, and x rounds it
+    cost, rows_a, rows_b = realistic_lp(family, d, m, seed=20)
+    rows = lp.SortedRows(rows_a, rows_b)
+    res = solve_lp(cost, rows)
+    assert res.status == "optimal"
+    basic = rows.order[res.basis[0]]
+    error = lex_certificate(cost, rows_a, rows_b, basic, res.x)
+    assert error <= 1e-13 * (1.0 + np.abs(res.x).max())
 
-    def counting(*args):
-        calls.append(args)
-        return solve_lp(*args)
 
-    monkeypatch.setattr(lp, "solve_lp", counting)
-    return calls
+def test_sweep_structure_does_not_depend_on_the_blas_kernel():
+    # support and essential sets compare points only at tolerances, so
+    # another OpenBLAS kernel, whose round-off differs, must reproduce them
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+
+    def structure(**kernel):
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "library_sweep.py"), "--programs", "60"],
+            env={**env, **kernel}, capture_output=True, text=True, check=True, timeout=600,
+        )
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        return [line for line in lines if line[0] in ("support_set", "essential")]
+
+    default = structure()
+    assert [line[0] for line in default] == ["support_set", "essential"]
+    assert structure(OPENBLAS_CORETYPE="Prescott") == default
+
+
+def random_planar_lp(rng):
+    m = int(rng.integers(2, 7))
+    a = np.vstack([rng.standard_normal((m, 2)), np.eye(2), -np.eye(2)])
+    b = np.concatenate([rng.uniform(0.2, 1.5, m), np.full(4, 3.0)])
+    return rng.standard_normal(2), a, b
+
+
+def lexicographic_vertex(c, a, b):
+    """Minimizer of (c'x, x_1, x_2) by enumerating the vertices of a x <= b,
+    with values within 1e-9 counted as ties."""
+    vertices = []
+    for i, j in combinations(range(a.shape[0]), 2):
+        pair = a[[i, j]]
+        if abs(np.linalg.det(pair)) < 1e-7:
+            continue
+        v = np.linalg.solve(pair, b[[i, j]])
+        if np.all(a @ v <= b + 1e-9):
+            vertices.append(v)
+    assert vertices
+    for key in (lambda v: c @ v, lambda v: v[0], lambda v: v[1]):
+        low = min(key(v) for v in vertices)
+        vertices = [v for v in vertices if key(v) <= low + 1e-9]
+    return vertices[0]
 
 
 class TestLexicographic:
-    def test_unique_point_on_degenerate_face(self, solve_lp_calls):
+    def test_unique_point_on_degenerate_face(self):
         # cost parallel to a facet: the whole segment x1 + x2 = 1 is optimal,
         # and the tie-break must pick its lexicographically minimal vertex
         a = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1], [-1.0, -1.0]])
         b = np.array([2.0, 2.0, 2.0, 2.0, -1.0])
-        res = solve_lp_lexicographic(np.array([1.0, 1.0]), a, b)
-        assert len(solve_lp_calls) == 2  # one positive dual of two: x_1 pass
+        res = solve_lp(np.array([1.0, 1.0]), a, b)
+        assert np.count_nonzero(res.duals > 0.0) == 1  # the duals leave the face flat
         assert res.objective == pytest.approx(1.0, abs=1e-9)
         assert res.x[0] == pytest.approx(-1.0, abs=1e-9)
         assert res.x[1] == pytest.approx(2.0, abs=1e-9)
@@ -184,76 +240,70 @@ class TestLexicographic:
     def test_bitwise_repeatability(self, rng):
         for _ in range(25):
             cost, rows_a, rows_b = random_bounded_lp(rng, 3, 8)
-            r1 = solve_lp_lexicographic(cost, rows_a, rows_b)
-            r2 = solve_lp_lexicographic(cost, rows_a, rows_b)
+            r1 = solve_lp(cost, rows_a, rows_b)
+            r2 = solve_lp(cost, rows_a, rows_b)
             assert np.array_equal(r1.x, r2.x)
 
     def test_bitwise_permutation_invariance(self, rng):
         for _ in range(25):
             cost, rows_a, rows_b = random_bounded_lp(rng, 3, 8)
-            r1 = solve_lp_lexicographic(cost, rows_a, rows_b)
+            r1 = solve_lp(cost, rows_a, rows_b)
             perm = rng.permutation(rows_b.shape[0])
-            r2 = solve_lp_lexicographic(cost, rows_a[perm], rows_b[perm])
+            r2 = solve_lp(cost, rows_a[perm], rows_b[perm])
             assert np.array_equal(r1.x, r2.x)
             # r2's j-th dual belongs to original row perm[j]
             assert np.array_equal(r1.duals[perm], r2.duals)
 
-    def test_lexicographic_beats_plain_on_ties(self, solve_lp_calls):
-        # plain solve may return any optimal vertex; lexicographic pins it
+    def test_lexicographic_beats_plain_on_ties(self):
+        # a zero cost makes every point optimal; the tie-break pins the
+        # lower-bound vertex, which is the start basis of the run
         a = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1]])
         b = np.ones(4)
-        res = solve_lp_lexicographic(np.array([0.0, 0.0]), a, b)
-        assert len(solve_lp_calls) == 3  # zero cost: x_1 and x_2 passes
+        res = solve_lp(np.array([0.0, 0.0]), a, b)
+        assert res.pivots == 0
         assert res.x == pytest.approx([-1.0, -1.0], abs=1e-9)
 
     def test_matches_vertex_enumeration(self, rng):
-        from itertools import combinations
-
         for _ in range(120):
-            d = 2
-            m = int(rng.integers(2, 7))
-            a = np.vstack([rng.standard_normal((m, d)), np.eye(d), -np.eye(d)])
-            b = np.concatenate([rng.uniform(0.2, 1.5, m), np.full(2 * d, 3.0)])
-            c = rng.standard_normal(d)
-            res = solve_lp_lexicographic(c, a, b)
-            best = None
-            for i, j in combinations(range(a.shape[0]), 2):
-                pair = a[[i, j]]
-                if abs(np.linalg.det(pair)) < 1e-7:
-                    continue
-                v = np.linalg.solve(pair, b[[i, j]])
-                if np.all(a @ v <= b + 1e-9):
-                    key = (round(float(c @ v), 8), round(float(v[0]), 8), round(float(v[1]), 8))
-                    if best is None or key < best[0]:
-                        best = (key, v)
-            assert best is not None
-            assert np.max(np.abs(best[1] - res.x)) < 5e-7
+            c, a, b = random_planar_lp(rng)
+            res = solve_lp(c, a, b)
+            assert np.max(np.abs(lexicographic_vertex(c, a, b) - res.x)) < 5e-7
+
+    @pytest.mark.parametrize("cost", ["zero", "facet"])
+    def test_matches_vertex_enumeration_on_flat_faces(self, rng, cost):
+        # a zero cost, or a cost parallel to a row, leaves a whole edge or
+        # the whole polygon optimal, so only the tie-break picks the vertex
+        for _ in range(200):
+            c, a, b = random_planar_lp(rng)
+            c = np.zeros(2) if cost == "zero" else -a[rng.integers(0, a.shape[0] - 4)]
+            res = solve_lp(c, a, b)
+            assert res.status == "optimal"
+            assert np.max(np.abs(lexicographic_vertex(c, a, b) - res.x)) < 1e-12
 
 
 class TestCertifiedVertex:
-    def test_unique_vertex_takes_one_solve(self, rng, solve_lp_calls):
+    def test_unique_vertex_takes_one_solve(self, rng, simplex_runs):
         for d in range(1, 7):
             cost, rows_a, rows_b = random_bounded_lp(rng, d, 4 * d)
-            solve_lp_calls.clear()
-            res = solve_lp_lexicographic(cost, rows_a, rows_b)
+            simplex_runs.clear()
+            res = solve_lp(cost, rows_a, rows_b)
             ref = scipy_solve(cost, rows_a, rows_b)
-            assert len(solve_lp_calls) == 1
+            assert len(simplex_runs) == 1
             assert np.count_nonzero(res.duals > 0.0) == d
             assert np.abs(res.x - ref.x).max() <= 1e-9
 
-    def test_zero_basic_dual_does_not_certify(self, solve_lp_calls):
+    def test_zero_basic_dual_does_not_certify(self, simplex_runs):
         # cost parallel to the row x1 + x2 + x3 <= 1: that row carries the
-        # only positive dual, the other two basic duals are zero, and the
-        # first solve stops at (1, 1, -1) on the optimal triangle
+        # only positive dual and the other two basic duals are zero, so the
+        # duals leave the optimal triangle flat and one run must still end
+        # at its lexicographically minimal vertex
         a = np.vstack([np.ones(3), np.eye(3), -np.eye(3)])
         b = np.ones(7)
-        first = solve_lp(-np.ones(3), a, b)
-        assert np.count_nonzero(first.duals > 0.0) == 1
-        res = solve_lp_lexicographic(-np.ones(3), a, b)
-        assert len(solve_lp_calls) == 3  # cost solve, then x_1 and x_2; x_3 is pinned
+        res = solve_lp(-np.ones(3), a, b)
+        assert len(simplex_runs) == 1
+        assert np.count_nonzero(res.duals > 0.0) == 1
         assert res.x == pytest.approx([-1.0, 1.0, 1.0], abs=1e-9)
-        assert res.objective == pytest.approx(-1.0, abs=1e-12)  # the optimum, not the thickened face
-        assert np.array_equal(res.duals, first.duals)
+        assert res.objective == pytest.approx(-1.0, abs=1e-12)
 
 
 def _scatter(duals, mask):
@@ -270,7 +320,7 @@ class TestSortedRows:
             d = int(rng.integers(1, 6))
             cost, rows_a, rows_b = random_bounded_lp(rng, d, int(rng.integers(3, 30)))
             if trial % 4 == 0:
-                cost = np.zeros(d)  # flat face: the coordinate passes run too
+                cost = np.zeros(d)  # flat face: the lexicographic ratio test decides
             rows_a[1] = rows_a[0]  # a duplicated row
             rows_b[1] = rows_b[0]
             perm = rng.permutation(rows_b.shape[0])
@@ -279,14 +329,13 @@ class TestSortedRows:
             mask[np.abs(rows_a).sum(axis=1) == np.abs(rows_a).max(axis=1)] = True  # box rows
             rows = lp.SortedRows(rows_a, rows_b)
             view = rows.select(mask[rows.order])
-            for solver in (solve_lp, solve_lp_lexicographic):
-                ref = solver(cost, rows_a[mask], rows_b[mask])
-                res = solver(cost, view)
-                assert res.status == ref.status == "optimal"
-                assert np.array_equal(res.x, ref.x)
-                assert res.objective == ref.objective
-                assert np.array_equal(res.duals, _scatter(ref.duals, mask))
-                assert res.pivots == ref.pivots and not res.warm
+            ref = solve_lp(cost, rows_a[mask], rows_b[mask])
+            res = solve_lp(cost, view)
+            assert res.status == ref.status == "optimal"
+            assert np.array_equal(res.x, ref.x)
+            assert res.objective == ref.objective
+            assert np.array_equal(res.duals, _scatter(ref.duals, mask))
+            assert res.pivots == ref.pivots and not res.warm
 
     @pytest.mark.parametrize("d,m", [(20, 2_000), (10, 7_500)])
     def test_view_matches_masked_arrays_at_scale(self, rng, d, m):
@@ -302,14 +351,13 @@ class TestSortedRows:
             rows_a, rows_b, mask = rows_a[perm], rows_b[perm], mask[perm]
             rows = lp.SortedRows(rows_a, rows_b)
             view = rows.select(mask[rows.order])
-            for solver in (solve_lp, solve_lp_lexicographic):
-                ref = solver(cost, rows_a[mask], rows_b[mask])
-                res = solver(cost, view)
-                assert res.status == ref.status == "optimal"
-                assert np.array_equal(res.x, ref.x)
-                assert res.objective == ref.objective
-                assert np.array_equal(res.duals, _scatter(ref.duals, mask))
-                assert res.pivots == ref.pivots and not res.warm
+            ref = solve_lp(cost, rows_a[mask], rows_b[mask])
+            res = solve_lp(cost, view)
+            assert res.status == ref.status == "optimal"
+            assert np.array_equal(res.x, ref.x)
+            assert res.objective == ref.objective
+            assert np.array_equal(res.duals, _scatter(ref.duals, mask))
+            assert res.pivots == ref.pivots and not res.warm
 
     def test_dropping_a_nonbasic_active_row_takes_no_pivot(self):
         # x >= 0 in the box [-1, 1]^2 and x1 + x2 >= 0: the last row is tight
@@ -320,7 +368,7 @@ class TestSortedRows:
         base = solve_lp(np.ones(2), rows)
         assert base.duals[4] == 0.0 and rows_a[4] @ base.x == rows_b[4]
         keep = rows.order != 4
-        res = solve_lp_lexicographic(np.ones(2), rows.select(keep, base))
+        res = solve_lp(np.ones(2), rows.select(keep, base))
         assert res.warm and res.pivots == 0
         assert np.array_equal(res.x, base.x)
 
@@ -334,24 +382,25 @@ class TestSortedRows:
                 if row >= rows_b.shape[0] - 2 * d:
                     continue  # box rows stay
                 mask = np.arange(rows_b.shape[0]) != row
-                res = solve_lp_lexicographic(cost, rows.select(mask[rows.order], base))
-                ref = solve_lp_lexicographic(cost, rows_a[mask], rows_b[mask])
+                res = solve_lp(cost, rows.select(mask[rows.order], base))
+                ref = solve_lp(cost, rows_a[mask], rows_b[mask])
                 assert res.status == "optimal"
                 assert np.abs(res.x - ref.x).max() <= 1e-9
                 assert res.duals[row] == 0.0
 
-    def test_uncertified_warm_result_falls_back(self, solve_lp_calls):
-        # zero cost: every dual is zero, so no warm result is certified and
-        # the cold solve and its coordinate passes decide the point
+    def test_zero_cost_warm_result_matches_cold(self, simplex_runs):
+        # zero cost: every dual is zero, so only the lexicographic ratio test
+        # decides which row leaves; the warm run drives the dropped row out
+        # and ends at the cold run's vertex
         rows_a = np.vstack([np.eye(3), -np.eye(3), [[-1.0, -1.0, 0.0]]])
         rows_b = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
         rows = lp.SortedRows(rows_a, rows_b)
-        base = solve_lp_lexicographic(np.zeros(3), rows)
+        base = solve_lp(np.zeros(3), rows)
+        assert base.x == pytest.approx([-1.0, 0.5, -1.0], abs=1e-12)
         mask = np.arange(7) != 6
-        solve_lp_calls.clear()
-        res = solve_lp_lexicographic(np.zeros(3), rows.select(mask[rows.order], base))
-        assert len(solve_lp_calls) == 2 + 3  # the warm try, the cold solve, three passes
-        assert not res.warm
-        ref = solve_lp_lexicographic(np.zeros(3), rows_a[mask], rows_b[mask])
+        simplex_runs.clear()
+        res = solve_lp(np.zeros(3), rows.select(mask[rows.order], base))
+        assert len(simplex_runs) == 1 and res.warm
+        ref = solve_lp(np.zeros(3), rows_a[mask], rows_b[mask])
         assert np.array_equal(res.x, ref.x)
         assert res.x == pytest.approx([-1.0, -1.0, -1.0], abs=1e-9)

@@ -12,7 +12,7 @@ from scenopt.cuboid_bench import (
     cuboid_solve_analytic,
     cuboid_support_sets,
 )
-from scenopt.lp import solve_lp_lexicographic
+from scenopt.lp import solve_lp
 from scenopt.program import (
     LinearRowsGenerator,
     MultiSample,
@@ -38,6 +38,7 @@ from scenopt.scenario_core import (
 )
 
 from conftest import order_stats_program, random_lp_program
+from lp_certificate import lex_certificate
 
 
 def fixed_multisample(outcomes, ties=None):
@@ -112,6 +113,12 @@ class TestDrawMultisample:
             draw_multisample(program, [3], seed=0)
 
 
+def former_cycling_case():
+    program = random_lp_program(np.random.default_rng(1), dim=12, n_stages=5)
+    program.stages = [dataclasses.replace(s, eps=0.05) for s in program.stages]
+    return program, draw_multisample(program, plan_multistage(program, 1e-6), 7)
+
+
 class TestSolve:
     def test_box_vertex_no_stages(self):
         program = ScenarioProgram(
@@ -172,18 +179,27 @@ class TestSolve:
         assert np.array_equal(x1, x3)
 
     def test_former_cycling_case_is_optimal(self):
-        # 1 824 rows at d = 12 on which Bland pricing cycled until the pivot
-        # budget ran out; the first vertex carries 12 positive duals, so no
-        # coordinate pass runs
-        program = random_lp_program(np.random.default_rng(1), dim=12, n_stages=5)
-        program.stages = [dataclasses.replace(s, eps=0.05) for s in program.stages]
-        ms = draw_multisample(program, plan_multistage(program, 1e-6), 7)
+        # 1 824 rows at d = 12 on which Bland pricing once cycled until the
+        # pivot budget ran out
+        program, ms = former_cycling_case()
         sol = solve(program, ms)
         assembled = AssembledProgram(program, ms)
         ref = linprog(program.cost, A_ub=assembled.a, b_ub=assembled.b,
                       bounds=(None, None), method="highs")
         assert sol.status == "optimal" and ref.status == 0
         assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+
+    def test_former_cycling_case_with_zero_cost_is_optimal(self):
+        # the same rows with a zero cost: every basic dual is zero, so only
+        # the lexicographic ratio test orders the pivots; Bland pricing with
+        # coordinate passes ran out of pivots (373 060) here
+        program, ms = former_cycling_case()
+        program.cost = np.zeros(program.dim)
+        sol = solve(program, ms)
+        assert sol.status == "optimal"
+        assembled = sol._assembled
+        basic = assembled.rows.order[assembled.base.basis[0]]
+        assert lex_certificate(program.cost, assembled.a, assembled.b, basic, sol.x) <= 1e-12
 
 
 class TestSupportSet:
@@ -230,26 +246,22 @@ def cuboid_draw(n, seed):
 
 
 class TestOneAssembly:
-    def test_support_set_reuses_the_solve(self, monkeypatch):
+    def test_support_set_reuses_the_solve(self, monkeypatch, simplex_runs):
         # solve sorts the rows and solves the full program once; support_set
-        # adds only its drop-one re-solves
+        # adds only its drop-one re-solves, one simplex run each
         _, program, ms = cuboid_draw(5, seed=5)
-        counts = {"SortedRows": 0, "solve_lp": 0}
-        init, solve_lp = lp.SortedRows.__init__, lp.solve_lp
+        sorts = []
+        init = lp.SortedRows.__init__
 
         def counted_init(self, *args):
-            counts["SortedRows"] += 1
+            sorts.append(1)
             init(self, *args)
 
-        def counted_solve_lp(*args):
-            counts["solve_lp"] += 1
-            return solve_lp(*args)
-
         monkeypatch.setattr(lp.SortedRows, "__init__", counted_init)
-        monkeypatch.setattr(lp, "solve_lp", counted_solve_lp)
         sol = solve(program, ms)
         support_set(program, ms, sol)
-        assert counts == {"SortedRows": 1, "solve_lp": 1 + sum(len(a) for a in sol.active)}
+        assert len(sorts) == 1
+        assert len(simplex_runs) == 1 + sum(len(a) for a in sol.active)
 
     def test_support_set_rejects_a_solution_from_elsewhere(self):
         inst, program, ms = cuboid_draw(5, seed=5)
@@ -274,7 +286,7 @@ class TestSortedOnce:
             for i, kappa in drop:
                 mask[assembled.uid == assembled.stage_uid_base[i] + kappa] = False
             res = assembled.solve_lex(drop)
-            ref = solve_lp_lexicographic(program.cost, assembled.a[mask], assembled.b[mask])
+            ref = solve_lp(program.cost, assembled.a[mask], assembled.b[mask])
             assert res.status == ref.status == "optimal"
             assert np.array_equal(res.x, ref.x)
             assert res.objective == ref.objective

@@ -14,9 +14,19 @@ The script prints one SHA-256 digest per algorithm over the statuses, the
 bytes of x and of the objective, the active sets, and for removals the
 removed samples, the improvement and the assumption modes; for essential
 sets, every essential set and the minimal one, or the exception raised.
-A last line counts the dual-simplex runs over the whole sweep and the
-pivots they took.  Run it in two checkouts with the same arguments; equal
-lines mean equal results.
+A ``pivots`` line counts the dual-simplex runs over that sweep and the
+pivots they took.
+
+A last line, ``essential-degenerate``, digests ``essential_sets_bruteforce``
+on a second family drawn from a fresh generator with the same seed and
+count: ``degenerate_lp_program`` from ``tests/conftest.py`` with dimension
+2-3, 1-2 stages and 3-4 samples per stage.  Its outcomes are discrete, so
+many of its programs have several essential sets and the tie-break values
+derived from the sampling seed decide the minimal one; the first family is
+nondegenerate and never reaches that rule.
+
+Run it in two checkouts with the same arguments; equal lines mean equal
+results.
 
 Usage:
     PYTHONPATH=src python scripts/library_sweep.py [--rng 12345] [--programs 300]
@@ -39,7 +49,7 @@ from scenopt.scenario_core import (
 )
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from conftest import random_lp_program  # noqa: E402
+from conftest import degenerate_lp_program, random_lp_program  # noqa: E402
 
 
 def _feed_solution(digest, solution) -> None:
@@ -54,6 +64,28 @@ def _feed_removal(digest, result) -> None:
     digest.update(repr(result.removed).encode())
     digest.update(np.float64(result.objective_improvement).tobytes())
     digest.update(repr(result.assumption_modes).encode())
+
+
+def _essential_digest(digest, program, ms) -> None:
+    try:
+        outcome = repr(essential_sets_bruteforce(program, ms))
+    except (ValueError, ArithmeticError) as exc:
+        outcome = type(exc).__name__
+    digest.update(outcome.encode())
+
+
+def _degenerate_sweep(seed: int, programs: int) -> str:
+    """Digest of the essential sets of the degenerate family."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(seed)
+    for _ in range(programs):
+        dim = rng.integers(2, 4)
+        n_stages = rng.integers(1, 3)
+        program = degenerate_lp_program(rng, dim, n_stages)
+        sizes = rng.integers(3, 5, size=n_stages).tolist()
+        ms = draw_multisample(program, sizes, int(rng.integers(2**31)))
+        _essential_digest(digest, program, ms)
+    return digest.hexdigest()
 
 
 def _count_simplex_runs() -> list[int]:
@@ -104,16 +136,14 @@ def main() -> int:
             _feed_removal(digests["optimal"], remove_optimal(program, ms, discards))
             runs["optimal"] += 1
         if sum(sizes) <= 8:
-            try:
-                outcome = repr(essential_sets_bruteforce(program, ms))
-            except (ValueError, ArithmeticError) as exc:
-                outcome = type(exc).__name__
-            digests["essential"].update(outcome.encode())
+            _essential_digest(digests["essential"], program, ms)
             runs["essential"] += 1
 
     for name in names:
         print(f"{name:<12} {runs[name]:>4} {digests[name].hexdigest()}")
     print(f"{'pivots':<12} {len(pivots):>4} {sum(pivots)}")
+    degenerate = _degenerate_sweep(args.rng, args.programs)
+    print(f"{'essential-degenerate':<12} {args.programs:>4} {degenerate}")
     return 0
 
 

@@ -194,6 +194,8 @@ class ScenarioProgram:
         self.box_upper = np.asarray(self.box_upper, dtype=float)
         if self.cost.shape != (self.dim,):
             raise ValueError(f"cost must have length {self.dim}, got shape {self.cost.shape}")
+        if not np.all(np.isfinite(self.cost)):
+            raise ValueError("cost must be finite")
         if self.box_lower.shape != (self.dim,) or self.box_upper.shape != (self.dim,):
             raise ValueError("box bounds must match the search dimension")
         if not (np.all(np.isfinite(self.box_lower)) and np.all(np.isfinite(self.box_upper))):
@@ -221,12 +223,15 @@ class ScenarioProgram:
 
 @dataclass
 class MultiSample:
-    """Per-stage outcome arrays plus tie-break values and RNG provenance."""
+    """Per-stage outcome arrays and the seed they were drawn from.
+
+    The seed also keys the tie-break values with which
+    ``scenario_core.essential_sets_bruteforce`` picks one minimal essential
+    set; they are derived there, from the seed, when that search reads them.
+    """
 
     outcomes: list[np.ndarray]       # stage i -> (K_i, delta_dim)
-    tie_breaks: list[np.ndarray]     # stage i -> (K_i,)
-    tie_break_box: float
-    provenance: dict
+    seed: int
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(o.shape[0] for o in self.outcomes)
@@ -250,20 +255,28 @@ class Solution:
 _BIG_BOX = 1e6
 
 
+def _typed(node: dict, key: str, kind: type, default=None):
+    """``node[key]``, or ``default`` when given and the key is absent, which
+    must be a JSON value of type ``kind`` (true and false are not integers)."""
+    value = node[key] if default is None else node.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _sampler_from_json(node: dict):
     kind = node.get("type")
     if kind == "normal":
         return NormalSampler(
             mean=float(node.get("mean", 0.0)),
             std=float(node.get("std", 1.0)),
-            dim=int(node.get("dim", 1)),
+            dim=_typed(node, "dim", int, 1),
         )
     if kind == "uniform":
-        return UniformSampler(
-            low=float(node.get("low", 0.0)),
-            high=float(node.get("high", 1.0)),
-            dim=int(node.get("dim", 1)),
-        )
+        low, high = float(node.get("low", 0.0)), float(node.get("high", 1.0))
+        if not low <= high:
+            raise ValueError(f"uniform sampler needs low <= high, got low {low}, high {high}")
+        return UniformSampler(low=low, high=high, dim=_typed(node, "dim", int, 1))
     if kind == "choice":
         values = node.get("values")
         if not values:
@@ -292,7 +305,7 @@ def _generator_from_json(node: dict, dim: int):
         rows = node.get("rows")
         if not rows:
             raise ValueError("linear generator needs a nonempty 'rows' list")
-        delta_dim = int(node.get("delta_dim", 1))
+        delta_dim = _typed(node, "delta_dim", int, 1)
         if delta_dim < 1:
             raise ValueError(f"delta_dim must be positive, got {delta_dim}")
         a0 = np.array([_row_field(row, "a0", (dim,), required=True) for row in rows])
@@ -306,7 +319,7 @@ def _generator_from_json(node: dict, dim: int):
     if kind == "cuboid":
         if dim % 2 != 0:
             raise ValueError("cuboid stages expect the (z, w) layout with an even dimension")
-        coordinate = int(node["coordinate"])
+        coordinate = _typed(node, "coordinate", int)
         if not 0 <= coordinate < dim // 2:
             raise ValueError(f"cuboid coordinate must lie in [0, {dim // 2}), got {coordinate}")
         return CuboidCoordinateGenerator(coordinate=coordinate, n=dim // 2), 1
@@ -324,7 +337,7 @@ def program_from_json(doc: dict) -> ScenarioProgram:
 
 
 def _program_from_json(doc: dict) -> ScenarioProgram:
-    dim = int(doc["dimension"])
+    dim = _typed(doc, "dimension", int)
     cost = np.asarray(doc["cost"], dtype=float)
     box = doc.get("box", {})
     lower = np.asarray(box.get("lower", [-_BIG_BOX] * dim), dtype=float)
@@ -343,14 +356,13 @@ def _program_from_json(doc: dict) -> ScenarioProgram:
                 f"stage {i}: the sampler draws {sampler.dim}-dimensional outcomes, "
                 f"the generator takes {delta_dim}"
             )
-        zeta = node.get("zeta_bar")
         stages.append(
             StageSpec(
                 eps=float(node["eps"]),
                 generator=generator,
                 sampler=sampler,
-                zeta_bar=None if zeta is None else int(zeta),
-                monotone=bool(node.get("monotone", False)),
+                zeta_bar=None if node.get("zeta_bar") is None else _typed(node, "zeta_bar", int),
+                monotone=_typed(node, "monotone", bool, False),
             )
         )
     return ScenarioProgram(

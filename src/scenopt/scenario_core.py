@@ -57,44 +57,23 @@ def derived_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _plan_sizes(plan) -> tuple[int, ...]:
-    if hasattr(plan, "sizes"):
-        return tuple(plan.sizes())
-    return tuple(int(k) for k in plan)
-
-
 def draw_multisample(program: ScenarioProgram, plan, seed: int) -> MultiSample:
-    """Draw K_i i.i.d. outcomes per stage from per-stage derived streams.
+    """Draw K_i i.i.d. outcomes per stage, stage i from the stream
+    (seed, NS_TRAIN, i).
 
-    ``plan`` is either a SampleSizePlan or a plain sequence of sizes.
-    Tie-break values (one per sample, plus one for the deterministic set) come
-    from a separate namespace and are redrawn on exact collision.
+    ``plan`` is either a SampleSizePlan or a plain sequence of sizes.  Only
+    the outcomes are drawn; the tie-break values that
+    ``essential_sets_bruteforce`` reads are derived from ``seed`` there.
     """
-    sizes = _plan_sizes(plan)
+    sizes = tuple(plan.sizes()) if hasattr(plan, "sizes") else tuple(int(k) for k in plan)
     if len(sizes) != program.n_stages:
         raise ValueError(f"plan has {len(sizes)} stages, program has {program.n_stages}")
     outcomes = []
-    tie_breaks = []
     for i, stage in enumerate(program.stages):
         if stage.sampler is None:
             raise ValueError(f"stage {i} has no sampler configured")
-        rng = derived_stream(seed, NS_TRAIN, i)
-        outcomes.append(stage.sampler.draw(rng, sizes[i]))
-        rng_tb = derived_stream(seed, NS_TIEBREAK, i)
-        ties = rng_tb.uniform(size=sizes[i])
-        while np.unique(ties).size < ties.size:
-            ties = rng_tb.uniform(size=sizes[i])
-        tie_breaks.append(ties)
-    rng_box = derived_stream(seed, NS_TIEBREAK, program.n_stages)
-    tie_box = float(rng_box.uniform())
-    provenance = {
-        "seed": int(seed),
-        "train_keys": [(NS_TRAIN, i) for i in range(program.n_stages)],
-        "tiebreak_keys": [(NS_TIEBREAK, i) for i in range(program.n_stages + 1)],
-    }
-    return MultiSample(
-        outcomes=outcomes, tie_breaks=tie_breaks, tie_break_box=tie_box, provenance=provenance
-    )
+        outcomes.append(stage.sampler.draw(derived_stream(seed, NS_TRAIN, i), sizes[i]))
+    return MultiSample(outcomes=outcomes, seed=int(seed))
 
 
 class AssembledProgram:
@@ -232,6 +211,17 @@ def support_set(
     return result
 
 
+def _tie_breaks(ms: MultiSample, stage: int) -> np.ndarray:
+    """Stage ``stage``'s tie-break values, one per sample, from the stream
+    (ms.seed, NS_TIEBREAK, stage), redrawn from it until they are distinct."""
+    size = ms.outcomes[stage].shape[0]
+    rng = derived_stream(ms.seed, NS_TIEBREAK, stage)
+    ties = rng.uniform(size=size)
+    while np.unique(ties).size < size:
+        ties = rng.uniform(size=size)
+    return ties
+
+
 def essential_sets_bruteforce(
     program: ScenarioProgram, ms: MultiSample, max_total: int = 16
 ) -> tuple[list[tuple[tuple[int, int], ...]], tuple[tuple[int, int], ...]]:
@@ -242,6 +232,11 @@ def essential_sets_bruteforce(
     the reduced problem.  The deterministic set is implicitly part of every
     reduced problem; an empty tuple therefore stands for "the deterministic
     set alone".
+
+    The minimal set is the shortest essential set with the lowest sum of
+    tie-break values.  Those values are derived from ``ms.seed`` in the
+    NS_TIEBREAK namespace, one distinct uniform value per sample, so the
+    rule is symmetric in the samples and reproducible from the seed.
 
     Returns (all_essential_sets, minimal_essential_set), each set a sorted
     tuple of (stage, sample) pairs.
@@ -288,10 +283,8 @@ def essential_sets_bruteforce(
     if not essential:
         raise ArithmeticError("no essential set found; numerical tolerances are inconsistent")
 
-    def tie_sum(subset) -> float:
-        return float(sum(ms.tie_breaks[i][kappa] for i, kappa in subset))
-
-    minimal = min(essential, key=lambda s: (len(s), tie_sum(s), s))
+    ties = [_tie_breaks(ms, i) for i in range(len(sizes))]
+    minimal = min(essential, key=lambda s: (len(s), sum(ties[i][k] for i, k in s), s))
     return essential, minimal
 
 
@@ -301,12 +294,12 @@ def sampling_lemma_check(
     extra_outcome: np.ndarray,
     stage: int,
     max_total: int = 16,
-    extra_tie: float = 0.5,
 ) -> bool:
     """Single-instance check of the implication: the optimizer violates an
     additional sampled constraint => that constraint is in the minimal
     essential set of the augmented problem.  Vacuously true when the extra
-    constraint is satisfied."""
+    constraint is satisfied.  The augmented multisample is ``ms``'s outcomes
+    with ``extra_outcome`` appended to stage ``stage``, under ``ms.seed``."""
     solution = solve(program, ms)
     if solution.status != "optimal":
         raise ValueError(f"base problem not solvable: status {solution.status}")
@@ -314,20 +307,12 @@ def sampling_lemma_check(
     if np.all(a @ solution.x - b <= 0.0):
         return True
 
-    outcomes = [o.copy() for o in ms.outcomes]
-    ties = [t.copy() for t in ms.tie_breaks]
+    outcomes = list(ms.outcomes)
     extra = np.atleast_1d(np.asarray(extra_outcome, dtype=float))
     outcomes[stage] = np.vstack([outcomes[stage], extra[None, :]])
-    while extra_tie in ties[stage]:
-        extra_tie = (extra_tie + 0.1) % 1.0
-    ties[stage] = np.append(ties[stage], extra_tie)
-    augmented = MultiSample(
-        outcomes=outcomes, tie_breaks=ties,
-        tie_break_box=ms.tie_break_box, provenance=dict(ms.provenance),
-    )
+    augmented = MultiSample(outcomes=outcomes, seed=ms.seed)
     _, minimal = essential_sets_bruteforce(program, augmented, max_total=max_total)
-    new_index = augmented.sizes()[stage] - 1
-    return (stage, new_index) in minimal
+    return (stage, ms.outcomes[stage].shape[0]) in minimal
 
 
 def support_rank_linear(rows: np.ndarray) -> int:

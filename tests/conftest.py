@@ -9,7 +9,9 @@ from scenopt import lp
 from scenopt.bounds import SampleSizePlan, StagePlan
 from scenopt.probkernel import binomial_cdf
 from scenopt.program import (
+    ChoiceSampler,
     LinearRowsGenerator,
+    ProductSampler,
     ScenarioProgram,
     StageSpec,
     UniformSampler,
@@ -83,6 +85,19 @@ def random_lp_program(rng: np.random.Generator, dim: int = 2, n_stages: int = 1)
         box_upper=np.full(dim, 5.0),
         stages=stages,
     )
+
+
+def degenerate_lp_program(rng: np.random.Generator, dim: int, n_stages: int) -> ScenarioProgram:
+    """``random_lp_program`` with outcomes drawn from {-1, 0, 1} x {-1, 1}.
+
+    Outcomes repeat and more than ``dim`` rows can meet at a vertex, so a
+    program often has several essential sets and the tie-break decides
+    which one is minimal.
+    """
+    program = random_lp_program(rng, dim, n_stages)
+    for stage in program.stages:
+        stage.sampler = ProductSampler((ChoiceSampler((-1, 0, 1)), ChoiceSampler((-1, 1))))
+    return program
 
 
 @pytest.fixture

@@ -213,8 +213,10 @@ def test_a6_structural_property_suite():
         inst = CuboidInstance(n=n, eps=0.1)
         k = int(rng.integers(4, 9))
         draws = [rng.standard_normal((k, 1)) for _ in range(n)]
-        ties = [rng.uniform(size=k) for _ in range(n)]
-        ms = MultiSample(outcomes=draws, tie_breaks=ties, tie_break_box=0.5, provenance={})
+        # these trials once drew tie values here; the draw stays so that
+        # every trial sees the outcomes it always has
+        rng.uniform(size=(n, k))
+        ms = MultiSample(outcomes=draws, seed=0)
         support = cuboid_support_sets(inst, ms)
         if any(len(s) > 2 for s in support) or sum(len(s) for s in support) > inst.dim:
             failures.append(f"cuboid trial {trial}: support bound violated")

@@ -122,6 +122,17 @@ class TestPlan:
             "a_delta of the wrong shape":
                 (order_stats, lambda doc: doc["stages"][0]["generator"]["rows"][0]
                  .update(a_delta=[1, 2])),
+            "monotone given as a string":
+                (order_stats, lambda doc: doc["stages"][0].update(monotone="false")),
+            "non-integer zeta_bar": (cuboid, lambda doc: doc["stages"][0].update(zeta_bar=1.9)),
+            "non-integer dimension": (order_stats, lambda doc: doc.update(dimension=1.5)),
+            "non-integer delta_dim":
+                (order_stats, lambda doc: doc["stages"][0]["generator"].update(delta_dim=1.5)),
+            "non-integer cuboid coordinate":
+                (cuboid, lambda doc: doc["stages"][1]["generator"].update(coordinate=1.5)),
+            "uniform sampler with low above high":
+                (order_stats, lambda doc: doc["stages"][0]["sampler"].update(low=2, high=1)),
+            "NaN cost": (order_stats, lambda doc: doc.update(cost=[float("nan")])),
         }
         for name, (valid, damage) in defects.items():
             doc = json.loads(json.dumps(valid))

@@ -20,12 +20,7 @@ from scenopt.validate import estimate_violation
 
 
 def manual_multisample(arrays):
-    return MultiSample(
-        outcomes=[np.asarray(a, dtype=float) for a in arrays],
-        tie_breaks=[np.linspace(0.1, 0.9, np.asarray(a).shape[0]) for a in arrays],
-        tie_break_box=0.5,
-        provenance={},
-    )
+    return MultiSample(outcomes=[np.asarray(a, dtype=float) for a in arrays], seed=0)
 
 
 class TestInstance:

@@ -31,9 +31,7 @@ SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 
 def fixed_1d(values):
-    values = np.asarray(values, dtype=float)[:, None]
-    ties = np.linspace(0.1, 0.9, values.shape[0])
-    return MultiSample(outcomes=[values], tie_breaks=[ties], tie_break_box=0.5, provenance={})
+    return MultiSample(outcomes=[np.asarray(values, dtype=float)[:, None]], seed=0)
 
 
 def slack_stage_program():
@@ -122,9 +120,7 @@ class TestRemoveGreedy:
         # nothing improves in the slack stage: lowest sample index goes
         program = slack_stage_program()
         ms = MultiSample(
-            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])],
-            tie_breaks=[np.array([0.1, 0.2]), np.array([0.3, 0.4])],
-            tie_break_box=0.5, provenance={},
+            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])], seed=0,
         )
         result = remove_greedy(program, ms, [0, 1])
         assert result.removed == [[], [0]]
@@ -172,9 +168,7 @@ class TestRemoveMarginal:
         # the budgeted stage is slack: multipliers vanish, greedy rule decides
         program = slack_stage_program()
         ms = MultiSample(
-            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])],
-            tie_breaks=[np.array([0.1, 0.2]), np.array([0.3, 0.4])],
-            tie_break_box=0.5, provenance={},
+            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])], seed=0,
         )
         result = remove_marginal(program, ms, [0, 1])
         assert result.removed == [[], [0]]
@@ -233,9 +227,7 @@ class TestCheckDiscardAssumption:
         program = slack_stage_program()
         program.stages[1].monotone = True
         ms = MultiSample(
-            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])],
-            tie_breaks=[np.array([0.1, 0.2]), np.array([0.3, 0.4])],
-            tie_break_box=0.5, provenance={},
+            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])], seed=0,
         )
         result = remove_greedy(program, ms, [0, 1])
         assert result.assumption_modes == ["none", "monotone-declared"]
@@ -243,9 +235,7 @@ class TestCheckDiscardAssumption:
     def test_fail_mode(self):
         program = slack_stage_program()  # stage 2 not flagged monotone
         ms = MultiSample(
-            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])],
-            tie_breaks=[np.array([0.1, 0.2]), np.array([0.3, 0.4])],
-            tie_break_box=0.5, provenance={},
+            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])], seed=0,
         )
         result = remove_greedy(program, ms, [0, 1])
         assert result.assumption_modes == ["none", "FAIL"]
@@ -255,9 +245,7 @@ class TestCheckDiscardAssumption:
         # no removed row, so the non-monotone stage cannot pass.
         program = slack_stage_program()
         ms = MultiSample(
-            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])],
-            tie_breaks=[np.array([0.1, 0.2]), np.array([0.3, 0.4])],
-            tie_break_box=0.5, provenance={},
+            outcomes=[np.array([[0.6], [0.4]]), np.array([[0.2], [0.7]])], seed=0,
         )
         solution = Solution(
             x=np.full(1, np.nan), objective=np.nan, status="iteration-limit",

@@ -182,7 +182,8 @@ def test_final_basis_is_the_exact_lexicographic_minimizer(family, d, m):
 
 def test_sweep_structure_does_not_depend_on_the_blas_kernel():
     # support and essential sets compare points only at tolerances, so
-    # another OpenBLAS kernel, whose round-off differs, must reproduce them
+    # another OpenBLAS kernel, whose round-off differs, must reproduce them,
+    # the degenerate family's tie-decided essential sets included
     root = pathlib.Path(__file__).resolve().parent.parent
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -193,10 +194,11 @@ def test_sweep_structure_does_not_depend_on_the_blas_kernel():
             env={**env, **kernel}, capture_output=True, text=True, check=True, timeout=600,
         )
         lines = [line.split() for line in proc.stdout.splitlines()]
-        return [line for line in lines if line[0] in ("support_set", "essential")]
+        names = ("support_set", "essential", "essential-degenerate")
+        return [line for line in lines if line[0] in names]
 
     default = structure()
-    assert [line[0] for line in default] == ["support_set", "essential"]
+    assert [line[0] for line in default] == ["support_set", "essential", "essential-degenerate"]
     assert structure(OPENBLAS_CORETYPE="Prescott") == default
 
 

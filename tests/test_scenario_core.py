@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from scenopt import lp
+from scenopt import lp, scenario_core
 from scenopt.bounds import plan_multistage
 from scenopt.cuboid_bench import (
     CuboidInstance,
@@ -27,6 +27,7 @@ from scenopt.scenario_core import (
     NS_TRAIN,
     NS_VALIDATION,
     AssembledProgram,
+    _tie_breaks,
     derived_stream,
     draw_multisample,
     essential_sets_bruteforce,
@@ -37,15 +38,12 @@ from scenopt.scenario_core import (
     support_set,
 )
 
-from conftest import order_stats_program, random_lp_program
+from conftest import degenerate_lp_program, order_stats_program, random_lp_program
 from lp_certificate import lex_certificate
 
 
-def fixed_multisample(outcomes, ties=None):
-    if ties is None:
-        rng = np.random.default_rng(7)
-        ties = [rng.uniform(size=o.shape[0]) for o in outcomes]
-    return MultiSample(outcomes=outcomes, tie_breaks=ties, tie_break_box=0.5, provenance={})
+def fixed_multisample(outcomes, seed=0):
+    return MultiSample(outcomes=outcomes, seed=seed)
 
 
 def three_lines_program():
@@ -69,9 +67,21 @@ class TestDrawMultisample:
         program = order_stats_program()
         a = draw_multisample(program, [7], seed=123)
         b = draw_multisample(program, [7], seed=123)
+        assert a.seed == b.seed == 123
         assert np.array_equal(a.outcomes[0], b.outcomes[0])
-        assert np.array_equal(a.tie_breaks[0], b.tie_breaks[0])
-        assert a.tie_break_box == b.tie_break_box
+        # tie values come from the seed's own stream, not from the outcomes
+        ties = derived_stream(123, NS_TIEBREAK, 0).uniform(size=7)
+        assert np.array_equal(_tie_breaks(a, 0), ties)
+        assert np.array_equal(_tie_breaks(b, 0), ties)
+
+    def test_one_stream_per_stage(self, monkeypatch, rng):
+        # tie values are not drawn here: only essential_sets_bruteforce reads them
+        keys = []
+        original = scenario_core.derived_stream
+        monkeypatch.setattr(scenario_core, "derived_stream",
+                            lambda seed, *key: keys.append(key) or original(seed, *key))
+        draw_multisample(random_lp_program(rng, dim=2, n_stages=2), [5, 5], seed=1)
+        assert keys == [(NS_TRAIN, 0), (NS_TRAIN, 1)]
 
     def test_seed_changes_stream(self):
         program = order_stats_program()
@@ -98,7 +108,7 @@ class TestDrawMultisample:
     def test_tie_breaks_distinct(self):
         program = order_stats_program()
         ms = draw_multisample(program, [5000], seed=11)
-        assert np.unique(ms.tie_breaks[0]).size == 5000
+        assert np.unique(_tie_breaks(ms, 0)).size == 5000
 
     def test_namespaces_disjoint(self):
         assert len({NS_TRAIN, NS_TIEBREAK, NS_VALIDATION}) == 3
@@ -173,7 +183,7 @@ class TestSolve:
         x1 = solve(program, ms).x
         x2 = solve(program, ms).x
         perm = np.array([4, 2, 8, 0, 7, 1, 5, 3, 6])
-        msp = fixed_multisample([ms.outcomes[0][perm]], [ms.tie_breaks[0][perm]])
+        msp = fixed_multisample([ms.outcomes[0][perm]])
         x3 = solve(program, msp).x
         assert np.array_equal(x1, x2)
         assert np.array_equal(x1, x3)
@@ -331,20 +341,41 @@ class TestEssentialSets:
 
     def test_three_lines_degenerate(self):
         program = three_lines_program()
-        ms = fixed_multisample(
-            [np.array([[-1.0], [0.5], [1.0]])],
-            [np.array([0.2, 0.5, 0.9])],
-        )
-        sol = solve(program, ms)
-        assert np.allclose(sol.x, [0.0, 0.0], atol=1e-9)
-        # slope -1 is the lone support constraint
-        assert support_set(program, ms, sol) == [[0]]
-        essential, minimal = essential_sets_bruteforce(program, ms)
-        assert len(essential) == 2
-        assert all(len(e) == 2 for e in essential)
-        assert all((0, 0) in e for e in essential)
-        # lowest tie-break sum picks {slope -1, slope +0.5}
-        assert minimal == ((0, 0), (0, 1))
+        chosen = set()
+        for seed in range(10):
+            ms = fixed_multisample([np.array([[-1.0], [0.5], [1.0]])], seed=seed)
+            sol = solve(program, ms)
+            assert np.allclose(sol.x, [0.0, 0.0], atol=1e-9)
+            # slope -1 is the lone support constraint
+            assert support_set(program, ms, sol) == [[0]]
+            essential, minimal = essential_sets_bruteforce(program, ms)
+            assert essential == [((0, 0), (0, 1)), ((0, 0), (0, 2))]
+            # the lower tie value of slopes +0.5 and +1 picks the minimal set
+            ties = _tie_breaks(ms, 0)
+            assert minimal == essential[int(ties[2] < ties[1])]
+            chosen.add(minimal)
+        assert chosen == set(essential)
+
+    def test_degenerate_family(self):
+        # discrete outcomes: many programs have several essential sets, and
+        # the derived tie values decide which one is minimal
+        rng = np.random.default_rng(5)
+        decided = 0
+        for _ in range(60):
+            program = degenerate_lp_program(rng, int(rng.integers(2, 4)), int(rng.integers(1, 3)))
+            sizes = rng.integers(3, 5, size=program.n_stages).tolist()
+            ms = draw_multisample(program, sizes, int(rng.integers(2**31)))
+            sol = solve(program, ms)
+            support = {(i, k) for i, stage in enumerate(support_set(program, ms, sol)) for k in stage}
+            essential, minimal = essential_sets_bruteforce(program, ms)
+            assert all(support <= set(e) for e in essential)
+            for i, stage in enumerate(program.stages):
+                assert sum(1 for j, _ in minimal if j == i) <= stage.zeta_bar
+            ties = [_tie_breaks(ms, i) for i in range(program.n_stages)]
+            shortest = [e for e in essential if len(e) == min(map(len, essential))]
+            assert minimal == min(shortest, key=lambda e: sum(ties[i][k] for i, k in e))
+            decided += len(shortest) > 1
+        assert decided >= 10
 
     def test_empty_stage_lists(self):
         program = ScenarioProgram(
@@ -417,8 +448,7 @@ class TestSupportRank:
         hits = 0
         for _ in range(reps):
             draws = [rng.standard_normal((k, 1)) for _ in range(2)]
-            ms = MultiSample(outcomes=draws, tie_breaks=[np.zeros(k)] * 2,
-                             tie_break_box=0.0, provenance={})
+            ms = MultiSample(outcomes=draws, seed=0)
             support = cuboid_support_sets(inst, ms)
             hits += 0 in support[0]
         p_hat = hits / reps

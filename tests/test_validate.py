@@ -4,7 +4,7 @@ from scipy.stats import beta as beta_dist
 
 from scenopt.discard import remove_greedy
 from scenopt.probkernel import binomial_cdf
-from scenopt.scenario_core import NS_TRAIN, NS_VALIDATION, draw_multisample
+from scenopt.scenario_core import NS_TRAIN, NS_VALIDATION, derived_stream, draw_multisample
 from scenopt.validate import (
     clopper_pearson,
     estimate_violation,
@@ -87,7 +87,8 @@ class TestEstimateViolation:
         program = order_stats_program()
         ms = draw_multisample(program, [1000], seed=9)
         est_draws_differ = estimate_violation(np.array([0.5]), program.stages[0], 1000, 0.05, seed=9)
-        assert (NS_TRAIN, 0) in ms.provenance["train_keys"]
+        train = program.stages[0].sampler.draw(derived_stream(9, NS_TRAIN, 0), 1000)
+        assert ms.seed == 9 and np.array_equal(ms.outcomes[0], train)
         assert NS_VALIDATION != NS_TRAIN
         # same seed, same count: the validation stream still differs bitwise
         rng_train = draw_multisample(program, [1000], seed=9).outcomes[0].ravel()
